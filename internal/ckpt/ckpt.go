@@ -201,6 +201,11 @@ type Replayer struct {
 	log *Log
 	img []int32
 	cur int // last applied point index; -1 = zero image
+
+	// m is the machine Restore reuses. Between restores its memory equals
+	// img except on pages its run wrote since, which mem tracks.
+	m     *cpu.Machine
+	costs *cpu.CostModel // m's cost model as cpu.New set it
 }
 
 // NewReplayer returns a replayer over the log with a zeroed image.
@@ -214,10 +219,20 @@ func (r *Replayer) seek(k int) {
 		clear(r.img)
 		r.cur = -1
 	}
-	for ; r.cur < k; r.cur++ {
-		for _, pg := range r.log.Points[r.cur+1].Pages {
-			lo := int(pg.Index) << mem.PageShift
-			copy(r.img[lo:lo+len(pg.Words)], pg.Words)
+	for r.cur < k {
+		r.advance(nil)
+	}
+}
+
+// advance applies the next point's page deltas to the image and, when mm
+// is non-nil, to mm as well without marking them dirty there.
+func (r *Replayer) advance(mm *mem.Memory) {
+	r.cur++
+	for _, pg := range r.log.Points[r.cur].Pages {
+		lo := int(pg.Index) << mem.PageShift
+		copy(r.img[lo:lo+len(pg.Words)], pg.Words)
+		if mm != nil {
+			mm.SetPage(pg.Index, pg.Words)
 		}
 	}
 }
@@ -226,6 +241,7 @@ func (r *Replayer) seek(k int) {
 // state and counters from the point, memory copied from the incrementally
 // rebuilt image, output primed with the reference prefix. The caller
 // plants the fault and (for DBT runs) resumes a translator clone on it.
+// Machine is the allocating reference for Restore.
 func (r *Replayer) Machine(k int) *cpu.Machine {
 	r.seek(k)
 	pt := &r.log.Points[k]
@@ -235,3 +251,49 @@ func (r *Replayer) Machine(k int) *cpu.Machine {
 	m.Output = append([]int32(nil), r.log.Output[:pt.OutLen]...)
 	return m
 }
+
+// Restore returns the replayer's own machine restored to checkpoint k, in
+// the state Machine(k) would return, without allocating once warm. The
+// machine is the same on every call and valid until the next one; the
+// caller may run it, store to its memory and replace its fault, hook,
+// cost model and output.
+//
+// Memory is rolled back rather than copied: the pages the previous run
+// wrote are restored from the image (mem.Memory.Rollback). A forward seek
+// then writes each skipped point's page deltas into both the image and
+// the machine, leaving them clean; a backward seek rebuilds the image and
+// copies it whole. Registers, counters, fault, branch hook and cost model
+// are reset, and the output buffer is refilled with the reference prefix
+// in place — or dropped first when a runaway run left it far larger than
+// the reference stream.
+func (r *Replayer) Restore(k int) *cpu.Machine {
+	m := r.m
+	switch {
+	case m == nil:
+		m = r.Machine(k)
+		r.m, r.costs = m, m.Costs
+		return m
+	case k < r.cur:
+		r.seek(k)
+		m.Mem.CopyFrom(r.img)
+	default:
+		m.Mem.Rollback(r.img)
+		for r.cur < k {
+			r.advance(m.Mem)
+		}
+	}
+	pt := &r.log.Points[k]
+	m.RestoreFrom(pt.State)
+	m.Costs = r.costs
+	m.Fault = nil
+	m.BranchHook = nil
+	if cap(m.Output) > 2*len(r.log.Output)+outputSlack {
+		m.Output = nil
+	}
+	m.Output = append(m.Output[:0], r.log.Output[:pt.OutLen]...)
+	return m
+}
+
+// outputSlack is how far past twice the reference stream a reused output
+// buffer may grow before Restore drops it.
+const outputSlack = 1024

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -261,5 +262,72 @@ func TestRecordRejectsZeroInterval(t *testing.T) {
 	}
 	if _, err := RecordStatic(p, 0, maxSteps); err == nil {
 		t.Error("RecordStatic accepted interval 0")
+	}
+}
+
+// Property: the replayer's reused machine is, after every Restore, the
+// machine a fresh Replayer.Machine would build — registers, counters,
+// every memory word and the output — over random point sequences with
+// repeats and backward seeks, whatever the previous sample did to it:
+// stores anywhere, a partial run of the program, a planted fault and
+// hook, a replaced cost model, a runaway output stream.
+func TestCkptRestoreMatchesFreshMachine(t *testing.T) {
+	p := mustAssemble(t)
+	for name, l := range recordedLogs(t) {
+		t.Run(name, func(t *testing.T) {
+			if len(l.Points) < 4 {
+				t.Fatalf("only %d points recorded", len(l.Points))
+			}
+			r := l.NewReplayer()
+			rng := uint64(7)
+			next := func(n int) int {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return int((rng >> 33) % uint64(n))
+			}
+			k := 0
+			for iter := 0; iter < 400; iter++ {
+				switch c := next(10); {
+				case c < 3: // repeat the current point
+				case c < 6: // seek forward
+					k += next(len(l.Points) - k)
+				default: // anywhere, mostly backward
+					k = next(len(l.Points))
+				}
+				m := r.Restore(k)
+				want := l.NewReplayer().Machine(k)
+				if m.CaptureState() != want.CaptureState() {
+					t.Fatalf("iter %d point %d: state %+v, want %+v", iter, k, m.CaptureState(), want.CaptureState())
+				}
+				if m.Fault != nil || m.BranchHook != nil || *m.Costs != *want.Costs {
+					t.Fatalf("iter %d point %d: fault, hook or cost model survived the restore", iter, k)
+				}
+				if got, exp := m.Mem.Snapshot(), want.Mem.Snapshot(); !slices.Equal(got, exp) {
+					t.Fatalf("iter %d point %d: memory differs", iter, k)
+				}
+				if !slices.Equal(m.Output, want.Output) {
+					t.Fatalf("iter %d point %d: output %v, want %v", iter, k, m.Output, want.Output)
+				}
+				if cap(m.Output) > 2*len(l.Output)+outputSlack {
+					t.Fatalf("iter %d: restored output kept a %d-word buffer", iter, cap(m.Output))
+				}
+
+				// Dirty the machine the way a faulty sample might.
+				for n := next(20); n > 0; n-- {
+					if err := m.Mem.Store(uint32(next(int(l.MemWords))), int32(next(1<<20))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if name == "static" && next(2) == 0 {
+					m.Run(p.Code, m.Steps+uint64(next(3000)))
+				}
+				m.Regs[next(isa.NumRegs)] ^= 1 << next(32)
+				m.Fault = &cpu.Fault{BranchIndex: 1}
+				m.BranchHook = func(cpu.BranchEvent) {}
+				m.Costs = &cpu.CostModel{}
+				if next(8) == 0 {
+					m.Output = append(m.Output, make([]int32, 4*len(l.Output)+4*outputSlack)...)
+				}
+			}
+		})
 	}
 }

@@ -18,6 +18,24 @@
 // points captured earlier remain valid (graceful degradation down to
 // "checkpoint 0 only", which is plain replay).
 //
+// # Restoring
+//
+// A Replayer rebuilds checkpoint memory from a working image it advances
+// by page deltas. Replayer.Machine allocates a fresh machine per call and
+// stays the reference; Replayer.Restore is the campaign path: it returns
+// the replayer's one machine rewound in place, so a worker allocates
+// nothing per sample once warm. The machine's memory is rolled back, not
+// copied: mem tags every page with the generation of its last write, and
+// Restore copies back from the image only the pages the previous sample
+// wrote. A forward seek then writes each skipped point's page deltas into
+// both the image and the machine without marking them dirty; a backward
+// seek rebuilds the image from zero and copies it whole. Registers,
+// counters, fault, branch hook and cost model are reset, and the output
+// buffer is refilled with the reference prefix in place — dropped first
+// if a runaway sample left it more than twice the reference stream plus
+// a small slack. Campaign workers pair this with dbt.Snapshot.Reset,
+// which refills one translator clone per worker in place.
+//
 // # On-disk checkpoint-log format
 //
 // A recorded Log can be persisted with Log.EncodeTo and reloaded with
@@ -69,6 +87,15 @@
 // Decoding validates the magic, the checksum, the fingerprint and every
 // length field against the remaining input before allocating, and
 // classifies failures as ErrCorrupt (unreadable bytes) or ErrStale
-// (readable bytes recorded for a different configuration). Callers treat
-// both the same way: fall back to re-recording and overwrite the file.
+// (readable bytes recorded for a different configuration). A checksum
+// only proves the bytes are the ones that were sealed, not that whoever
+// sealed them was honest, so decoding then checks the geometry a restore
+// relies on (Log.Validate): point 0 exists; every page index and length
+// lies inside memWords; every point's outLen is at most the output
+// length; and the step and direct-branch counters never decrease from
+// point to point. A log that fails is ErrCorrupt too — restores write
+// pages into reused machines, so a bad page must be refused before any
+// machine sees it. Both the session disk cache and artifact decoding go
+// through this decoder. Callers treat every failure the same way: fall
+// back to re-recording (or a local build) and overwrite the file.
 package ckpt

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dbt"
 	"repro/internal/frame"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // logMagic identifies the on-disk checkpoint-log format; the trailing
@@ -170,7 +171,41 @@ func decodeBody(body []byte) (*Log, error) {
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
 	return l, nil
+}
+
+// Validate checks the log's geometry: point 0 exists, every page delta
+// lies inside the MemWords-word memory, every output prefix fits the
+// reference output, and the step and direct-branch counters never
+// decrease from one point to the next. Decoding calls it, so bytes from
+// disk or an artifact store that frame correctly but would drive a
+// restore out of bounds fail as ErrCorrupt before any machine sees them.
+func (l *Log) Validate() error {
+	if len(l.Points) == 0 {
+		return fmt.Errorf("%w: no point 0", ErrCorrupt)
+	}
+	for i := range l.Points {
+		pt := &l.Points[i]
+		if pt.OutLen > len(l.Output) {
+			return fmt.Errorf("%w: point %d output prefix %d past %d words", ErrCorrupt, i, pt.OutLen, len(l.Output))
+		}
+		if i > 0 {
+			prev := &l.Points[i-1].State
+			if pt.State.Steps < prev.Steps || pt.State.DirectBranches < prev.DirectBranches {
+				return fmt.Errorf("%w: point %d counters decrease", ErrCorrupt, i)
+			}
+		}
+		for _, pg := range pt.Pages {
+			if len(pg.Words) > mem.PageWords || uint64(pg.Index)<<mem.PageShift+uint64(len(pg.Words)) > uint64(l.MemWords) {
+				return fmt.Errorf("%w: point %d page %d (%d words) outside %d-word memory",
+					ErrCorrupt, i, pg.Index, len(pg.Words), l.MemWords)
+			}
+		}
+	}
+	return nil
 }
 
 // DecodeLog reads a log written by EncodeTo, verifying the magic, the

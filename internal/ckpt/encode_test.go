@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dbt"
 	"repro/internal/frame"
+	"repro/internal/mem"
 
 	"repro/internal/check"
 )
@@ -114,5 +115,46 @@ func TestDecodeRejectsTrailingPayload(t *testing.T) {
 	padded := frame.Seal(logMagic, []byte(testFingerprint), append(l.encodeBody(), 0, 0, 0, 0))
 	if _, err := DecodeLog(bytes.NewReader(padded), testFingerprint); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("error %v, want ErrCorrupt", err)
+	}
+}
+
+// Bytes that frame correctly — valid checksum, right fingerprint — but
+// break the log's geometry must decode as ErrCorrupt, never reach a
+// replayer. The first case is the crafted-log probe: a page index past
+// MemWords used to pass decoding and panic Replayer.Machine.
+func TestDecodeRejectsBadGeometry(t *testing.T) {
+	for name, l := range recordedLogs(t) {
+		raw := encode(t, l)
+		last := len(l.Points) - 1
+		cases := map[string]func(l *Log){
+			"page index past MemWords": func(l *Log) {
+				l.Points[last].Pages = append(l.Points[last].Pages,
+					Page{Index: l.MemWords>>mem.PageShift + 1, Words: []int32{1}})
+			},
+			"page length past MemWords": func(l *Log) {
+				idx := (l.MemWords - 1) >> mem.PageShift
+				l.Points[last].Pages = append(l.Points[last].Pages,
+					Page{Index: idx, Words: make([]int32, l.MemWords-idx<<mem.PageShift+1)})
+			},
+			"output prefix past output": func(l *Log) { l.Points[last].OutLen = len(l.Output) + 1 },
+			"steps decrease":            func(l *Log) { l.Points[last].State.Steps = l.Points[last-1].State.Steps - 1 },
+			"branches decrease": func(l *Log) {
+				l.Points[last].State.DirectBranches = l.Points[last-1].State.DirectBranches - 1
+			},
+			"no point 0": func(l *Log) { l.Points = nil },
+		}
+		for what, craft := range cases {
+			t.Run(name+"/"+what, func(t *testing.T) {
+				bad, err := DecodeLogBytes(raw, testFingerprint) // a private copy
+				if err != nil {
+					t.Fatal(err)
+				}
+				craft(bad)
+				_, err = DecodeLogBytes(bad.Encode(testFingerprint), testFingerprint)
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("error %v, want ErrCorrupt", err)
+				}
+			})
+		}
 	}
 }

@@ -63,6 +63,15 @@ func ParseBackend(s string) (Backend, error) {
 // Compiled reports whether the backend uses the compiled tier.
 func (b Backend) Compiled() bool { return b == BackendAuto || b == BackendCompile }
 
+// Resolve returns the backend that actually runs: BackendCompile for
+// BackendAuto, the backend itself otherwise.
+func (b Backend) Resolve() Backend {
+	if b == BackendAuto {
+		return BackendCompile
+	}
+	return b
+}
+
 // Stats counts compiled-backend activity. Counter sums are order-independent,
 // so per-sample totals merged across workers are worker-invariant.
 type Stats struct {
@@ -271,7 +280,17 @@ func (e *Engine) Frozen() bool { return e.c.frozen }
 // Clone returns a view sharing this engine's frozen compiled blocks with
 // fresh per-view stats. The receiver must be frozen.
 func (e *Engine) Clone() *Engine {
-	return &Engine{c: e.c, code: e.code, disabled: e.disabled}
+	v := &Engine{}
+	e.CloneTo(v)
+	return v
+}
+
+// CloneTo resets v in place to the view Clone would return: it shares the
+// receiver's frozen core and code alias, copies its disable flag and
+// starts from zero stats. Reusing one view across samples this way keeps
+// the per-sample path free of allocation.
+func (e *Engine) CloneTo(v *Engine) {
+	*v = Engine{c: e.c, code: e.code, disabled: e.disabled}
 }
 
 // resolveChains fills every nil chain slot whose target is compiled.

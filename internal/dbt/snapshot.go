@@ -155,26 +155,37 @@ func (s *Snapshot) Liveness() *live.Info {
 // clone shares the snapshot's read-only map and copies it only on the first
 // structural change (see DBT.setBlock).
 func (s *Snapshot) NewDBT() *DBT {
-	d := &DBT{
-		prog:          s.prog,
-		opts:          s.opts,
-		tech:          s.opts.Technique,
-		cache:         append([]isa.Instr(nil), s.cache...),
-		snapBlocks:    s.blocks,
-		tlist:         append([]*TBlock(nil), s.tlist...),
-		stubs:         append([]stub(nil), s.stubs...),
-		pendingCycles: s.pendingCycles,
-		stats:         s.stats,
-		plan:          s.plan.Clone(),
-	}
+	d := &DBT{prog: s.prog, opts: s.opts, tech: s.opts.Technique}
 	if s.comp != nil {
 		// A per-clone view over the frozen compiled core: fresh stats, own
 		// disable flag, re-aliased onto the clone's private cache copy. A
 		// clone that patches its cache under a compiled block disables its
 		// view and finishes on the interpreter; the shared core and every
 		// other sample are untouched.
-		d.comp = s.comp.Clone()
+		d.comp = &comp.Engine{}
+	}
+	s.Reset(d)
+	return d
+}
+
+// Reset refills d, a translator returned by NewDBT on this snapshot, with
+// the snapshot state in place, leaving it equal to a fresh NewDBT without
+// reallocating: the cache, translation list and stubs are copied into d's
+// existing slices, the private block map a translating run materialized is
+// dropped in favour of the shared one, the plan is re-cloned and the
+// compiled view is reset to a fresh view of the frozen core. Campaign
+// workers reset one clone per sample instead of priming a new one.
+func (s *Snapshot) Reset(d *DBT) {
+	d.cache = append(d.cache[:0], s.cache...)
+	d.tlist = append(d.tlist[:0], s.tlist...)
+	d.stubs = append(d.stubs[:0], s.stubs...)
+	d.blocks = nil
+	d.snapBlocks = s.blocks
+	d.pendingCycles = s.pendingCycles
+	d.stats = s.stats
+	d.plan = s.plan.Clone()
+	if s.comp != nil {
+		s.comp.CloneTo(d.comp)
 		d.comp.Sync(d.cache)
 	}
-	return d
 }

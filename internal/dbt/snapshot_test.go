@@ -1,10 +1,13 @@
 package dbt
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/comp"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/live"
 )
 
@@ -136,4 +139,114 @@ func TestSnapshotLivenessSharedAcrossClones(t *testing.T) {
 	if again := snap.Liveness(); again != infos[0] {
 		t.Fatalf("later call recomputed the analysis: %p != %p", again, infos[0])
 	}
+}
+
+// rareSrc has a path clean runs never take, so a flag fault that flips
+// the guarding branch makes a warm clone translate a new block.
+const rareSrc = `
+main:
+    movi eax, 0
+    movi ecx, 50
+loop:
+    addi eax, 3
+    cmpi eax, 100000
+    jgt rare
+back:
+    subi ecx, 1
+    cmpi ecx, 0
+    jgt loop
+    out eax
+    halt
+rare:
+    addi eax, 7
+    out eax
+    jmp back
+`
+
+// Reset must leave a clone that ran a sample — chain patching, new
+// translations, a disabled compiled view — equal to a fresh NewDBT: same
+// cache, translation list, stubs, stats, block maps and plan, zero
+// compiled-backend stats and an enabled view; and it must then run to the
+// same Result.
+func TestCkptResetCloneMatchesFresh(t *testing.T) {
+	warm := func(src string, threshold, runs int) *Snapshot {
+		d := New(mustAssemble(t, src), Options{TraceThreshold: threshold, Backend: comp.BackendCompile})
+		for i := 0; i < runs; i++ {
+			if res := d.Run(nil, 10_000_000); res.Stop.Reason != cpu.StopHalt {
+				t.Fatalf("warm-up run %d: %v", i, res.Stop)
+			}
+		}
+		return d.Snapshot()
+	}
+	// hotLoopSrc loops 500 times: at threshold 800 the back-edge stub is
+	// still profiling when the snapshot is taken after one run, so a
+	// clone's run forms the trace and chain-patches the stub.
+	profiling, stable := warm(hotLoopSrc, 800, 1), warm(rareSrc, 20, 4)
+	var wild *cpu.Fault
+	for b := uint64(0); b < 40 && wild == nil; b++ {
+		for bit := uint(0); bit < isa.NumFlagBits; bit++ {
+			f := &cpu.Fault{Kind: cpu.FaultFlagBit, BranchIndex: b, Bit: bit}
+			if res := stable.NewDBT().Run(f, 1_000_000); res.Stats.Sub(stable.Stats()).BlocksTranslated > 0 {
+				wild = &cpu.Fault{Kind: f.Kind, BranchIndex: b, Bit: bit}
+				break
+			}
+		}
+	}
+	if wild == nil {
+		t.Fatal("no flag fault made a warm clone translate a new block")
+	}
+
+	cases := []struct {
+		name   string
+		snap   *Snapshot
+		sample func(d *DBT)
+		check  func(d *DBT) bool // the sample really did what it is named for
+	}{
+		{"chain-patched", profiling,
+			func(d *DBT) { d.Run(nil, 10_000_000) },
+			func(d *DBT) bool { return chained(d.stubs) > chained(profiling.stubs) }},
+		{"wild-translation", stable,
+			func(d *DBT) { f := *wild; d.Run(&f, 1_000_000) },
+			func(d *DBT) bool { return d.blocks != nil && len(d.cache) > stable.CacheLen() }},
+		{"view-disabled", stable,
+			func(d *DBT) { d.Invalidate(); d.Run(nil, 10_000_000) },
+			func(d *DBT) bool { return viewDisabled(d) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.snap.NewDBT()
+			c.sample(d)
+			if !c.check(d) {
+				t.Fatal("the sample did not exercise what the case is named for")
+			}
+			c.snap.Reset(d)
+			fresh := c.snap.NewDBT()
+			if !reflect.DeepEqual(d, fresh) {
+				t.Fatalf("reset clone differs from a fresh clone\n got: %+v\nwant: %+v", d, fresh)
+			}
+			if d.CompStats() != (comp.Stats{}) || viewDisabled(d) {
+				t.Fatalf("compiled view not reset: stats %+v, disabled %v", d.CompStats(), viewDisabled(d))
+			}
+			got, want := d.Run(nil, 10_000_000), fresh.Run(nil, 10_000_000)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reset clone ran to %+v, fresh clone to %+v", got, want)
+			}
+		})
+	}
+}
+
+// chained counts the chain-patched stubs.
+func chained(stubs []stub) int {
+	n := 0
+	for _, s := range stubs {
+		if s.chained {
+			n++
+		}
+	}
+	return n
+}
+
+// viewDisabled reads the compiled view's unexported disable flag.
+func viewDisabled(d *DBT) bool {
+	return reflect.ValueOf(d.comp).Elem().FieldByName("disabled").Bool()
 }

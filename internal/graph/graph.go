@@ -67,9 +67,7 @@ type CellKey struct {
 // inject.DefaultMaxSteps) so spellings that run identically share a cell.
 func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
-	if backend == comp.BackendAuto {
-		backend = comp.BackendCompile
-	}
+	backend = backend.Resolve()
 	if maxSteps == 0 {
 		maxSteps = inject.DefaultMaxSteps
 	}

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cfg"
 	"repro/internal/ckpt"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -183,13 +183,16 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 		if shards != nil {
 			c = shards[w]
 		}
-		r := log.NewReplayer()
+		// One replayer machine and one translator clone serve every sample
+		// of this worker; both are restored in place between samples.
+		r, sd := log.NewReplayer(), snap.NewDBT()
 		for j := w; j < len(order); j += workers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			i := order[j]
-			runCkptSample(cfg, snap, base, log, r, li, tech, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
+			snap.Reset(sd)
+			runCkptSample(cfg, sd, base, log, r, li, tech, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
 			dumpFlightDBT(cfg, snap, p.Name, tech, i, want, &results[i])
 			observeProgress(cfg.Progress, w, &results[i])
 		}
@@ -200,12 +203,12 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 	return err
 }
 
-// runCkptSample classifies one fault from a checkpoint restore.
-func runCkptSample(cfg *Config, snap *dbt.Snapshot, base dbt.Stats, log *ckpt.Log,
+// runCkptSample classifies one fault from a checkpoint restore, on sd, a
+// translator clone in its fresh snapshot state.
+func runCkptSample(cfg *Config, sd *dbt.DBT, base dbt.Stats, log *ckpt.Log,
 	r *ckpt.Replayer, li *live.Info, tech string, c *obs.Collector,
 	f *cpu.Fault, k, sample int, want []int32, out *sampleResult) {
-	sd := snap.NewDBT()
-	m := r.Machine(k)
+	m := r.Restore(k)
 	m.Fault = f
 	pt := &log.Points[k]
 	sd.Resume(m, pt.Prefix)
@@ -288,7 +291,7 @@ func runCkptSample(cfg *Config, snap *dbt.Snapshot, base dbt.Stats, log *ckpt.Lo
 // translator) campaigns: same restore/sort/short-circuit discipline, but
 // the machine runs guest code directly and there is no translator state
 // to credit or protect.
-func runStaticCkptSamples(ctx context.Context, p *isa.Program, g *cfg.Graph, se *staticExec, cfgn *Config, rep *Report,
+func runStaticCkptSamples(ctx context.Context, p *isa.Program, im *StaticImage, cfgn *Config, rep *Report,
 	label string, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
 	start := time.Now()
 	if log == nil {
@@ -317,12 +320,10 @@ func runStaticCkptSamples(ctx context.Context, p *isa.Program, g *cfg.Graph, se 
 		points[i] = sitePoint(log, faults[i])
 	}
 	order := orderBySite(points)
-	// The program is fixed for native runs, so the shared plan, the frozen
-	// compiled engine and one liveness analysis serve every worker
-	// read-only (samples take per-view engine clones).
-	prune := phaseSpan(cfgn.Metrics, label, "prune")
-	li := live.Analyze(g)
-	prune.End()
+	// The program is fixed for native runs, so the image's plan, frozen
+	// compiled engine and liveness analysis serve every worker read-only
+	// (samples run on per-worker engine views reset between samples).
+	g, se, li := im.g, im.se, im.liveness()
 	workers := rep.Workers
 	injSpan := phaseSpan(cfgn.Metrics, label, "inject")
 	err := par.RunWorkersCtx(ctx, workers, func(ctx context.Context, w int) error {
@@ -333,16 +334,17 @@ func runStaticCkptSamples(ctx context.Context, p *isa.Program, g *cfg.Graph, se 
 			c = shards[w]
 		}
 		r := log.NewReplayer()
+		var v *comp.Engine
 		for j := w; j < len(order); j += workers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			i := order[j]
 			f := faults[i]
-			m := r.Machine(points[i])
+			m := r.Restore(points[i])
 			m.Fault = f
 			restored := m.Steps
-			v := se.view()
+			v = se.resetView(v)
 
 			stop := cpu.Stop{Reason: cpu.StopOutOfSteps}
 			short := shortNone

@@ -17,6 +17,7 @@ type execPlan struct {
 	cleanSteps uint64
 	haveSnap   bool
 	log        *ckpt.Log
+	image      *StaticImage
 }
 
 // ExecOption configures one Execute call: what pre-built state the
@@ -42,9 +43,18 @@ func WithRecording(log *ckpt.Log) ExecOption {
 
 // AsStatic runs the campaign natively (no translator) under the given
 // report label — the statically instrumented CFCSS/ECCA baselines and
-// unprotected native runs. Incompatible with WithSnapshot.
+// unprotected native runs. Incompatible with WithSnapshot; without
+// WithStaticImage the campaign builds the program's static image itself.
 func AsStatic(label string) ExecOption {
 	return func(e *execPlan) { e.static, e.label = true, label }
+}
+
+// WithStaticImage runs a native campaign (AsStatic) on a pre-built static
+// image of the program instead of building one — the session registry's
+// amortization path. The image must be NewStaticImage of the same program
+// for the campaign's backend and step bound; anything else is an error.
+func WithStaticImage(im *StaticImage) ExecOption {
+	return func(e *execPlan) { e.image = im }
 }
 
 // Execute is the single campaign entry point: it injects cfg.Samples
@@ -64,11 +74,23 @@ func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption
 		o(&plan)
 	}
 	cfg.applyDefaults()
+	if plan.image != nil && !plan.static {
+		return nil, fmt.Errorf("inject: WithStaticImage requires AsStatic")
+	}
 	if plan.static {
 		if plan.haveSnap {
 			return nil, fmt.Errorf("inject: AsStatic is incompatible with WithSnapshot")
 		}
-		return cfg.runStaticWarm(ctx, p, plan.label, plan.log)
+		im := plan.image
+		if im == nil {
+			span := phaseSpan(cfg.Metrics, plan.label, "image")
+			im = NewStaticImage(p, cfg.Backend, cfg.MaxSteps)
+			span.End()
+		} else if im.prog != p || im.se.backend.Resolve() != cfg.Backend.Resolve() || im.maxSteps != cfg.MaxSteps {
+			return nil, fmt.Errorf("inject: static image of %s (%v, max steps %d) does not fit campaign on %s (%v, max steps %d)",
+				im.prog.Name, im.se.backend, im.maxSteps, p.Name, cfg.Backend, cfg.MaxSteps)
+		}
+		return cfg.runStaticWarm(ctx, p, plan.label, plan.log, im)
 	}
 	if !plan.haveSnap {
 		warm := phaseSpan(cfg.Metrics, techName(cfg.Technique), "warm")

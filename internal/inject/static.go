@@ -3,6 +3,7 @@ package inject
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cfg"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/errmodel"
 	"repro/internal/isa"
+	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -19,7 +21,7 @@ import (
 // runs: the guest code, its shared predecoded plan, and — for the compiled
 // backend — a frozen block-compiled engine whose entry points are the
 // program's own CFG block starts. The plan and the frozen core are shared
-// read-only by every worker; each sample takes a fresh per-view clone so
+// read-only by every worker; each sample runs on a fresh per-view clone so
 // its chain-hit counters merge worker-invariantly.
 type staticExec struct {
 	backend comp.Backend
@@ -28,13 +30,19 @@ type staticExec struct {
 	eng     *comp.Engine // frozen; nil for interpreter backends
 }
 
-func newStaticExec(p *isa.Program, g *cfg.Graph, backend comp.Backend) *staticExec {
+// newStaticExec builds the execution surface, freezing the compiled
+// engine over the CFG blocks whose first instruction reached marks.
+// Blocks left out run on the interpreter tier, which comp.Engine.Run
+// keeps exact, so the reach set moves only wall-clock and compile work.
+func newStaticExec(p *isa.Program, g *cfg.Graph, backend comp.Backend, reached []bool) *staticExec {
 	se := &staticExec{backend: backend, code: p.Code, plan: cpu.NewPlan(p.Code, nil)}
 	if backend.Compiled() {
 		se.eng = comp.NewEngine(p.Code, nil, 0)
-		starts := make([]uint32, len(g.Blocks))
-		for i, b := range g.Blocks {
-			starts[i] = b.Start
+		var starts []uint32
+		for _, b := range g.Blocks {
+			if reached[b.Start] {
+				starts = append(starts, b.Start)
+			}
 		}
 		se.eng.Freeze(starts)
 	}
@@ -50,12 +58,17 @@ func (se *staticExec) baseline() comp.Stats {
 	return se.eng.Stats
 }
 
-// view returns a per-sample engine view (nil for interpreter backends).
-func (se *staticExec) view() *comp.Engine {
+// resetView points v at a fresh view of the frozen engine, allocating it
+// on first use; it returns nil for interpreter backends.
+func (se *staticExec) resetView(v *comp.Engine) *comp.Engine {
 	if se.eng == nil {
 		return nil
 	}
-	return se.eng.Clone()
+	if v == nil {
+		return se.eng.Clone()
+	}
+	se.eng.CloneTo(v)
+	return v
 }
 
 // run advances m on the selected backend until a stop or the step budget.
@@ -76,6 +89,67 @@ func (se *staticExec) stats(v *comp.Engine) comp.Stats {
 		return comp.Stats{}
 	}
 	return v.Stats
+}
+
+// StaticImage is the campaign-invariant state of native campaigns over one
+// program on one backend: the CFG faults are classified against, the
+// execution surface, the clean run's geometry and the liveness analysis
+// the checkpoint engine prunes with. Building it costs a CFG build, one
+// bounded clean run and a freeze of the compiled engine over only the
+// blocks that run reached; campaigns then share it read-only, so a
+// session builds it once and every static campaign it serves reuses it.
+// It is safe for concurrent use.
+type StaticImage struct {
+	prog     *isa.Program
+	maxSteps uint64
+	g        *cfg.Graph
+	se       *staticExec
+
+	// The clean run: how it stopped, its output and its geometry.
+	stop     cpu.Stop
+	want     []int32
+	steps    uint64
+	branches uint64
+
+	liveOnce sync.Once
+	li       *live.Info
+}
+
+// NewStaticImage builds the native-campaign image of p for backend, whose
+// clean run is bounded by maxSteps. Campaigns that use it must run with
+// the same step bound.
+func NewStaticImage(p *isa.Program, backend comp.Backend, maxSteps uint64) *StaticImage {
+	im := &StaticImage{prog: p, maxSteps: maxSteps, g: cfg.Build(p)}
+	// The clean run steps on the reference interpreter so it can mark the
+	// address of every instruction it executes.
+	reached := make([]bool, len(p.Code))
+	m := cpu.New()
+	m.Reset(p)
+	for {
+		if m.Steps >= maxSteps {
+			im.stop = cpu.Stop{Reason: cpu.StopOutOfSteps, IP: m.IP}
+			break
+		}
+		if m.IP < uint32(len(reached)) {
+			reached[m.IP] = true
+		}
+		if stop, done := m.Step(p.Code); done {
+			im.stop = stop
+			break
+		}
+	}
+	im.want = m.Output
+	im.steps = m.Steps
+	im.branches = m.DirectBranches
+	im.se = newStaticExec(p, im.g, backend, reached)
+	return im
+}
+
+// liveness returns flag/register liveness over the program, computed on
+// first use (only the checkpoint engine's prune consults it).
+func (im *StaticImage) liveness() *live.Info {
+	im.liveOnce.Do(func() { im.li = live.Analyze(im.g) })
+	return im.li
 }
 
 // StaticCampaign injects single faults into a program executed directly on
@@ -103,20 +177,20 @@ func (cfgn Config) RunStaticWarm(ctx context.Context, p *isa.Program, label stri
 // runStaticWarm injects single faults into a program executed directly on
 // the machine (no translator) — the statically instrumented CFCSS/ECCA
 // baselines and unprotected native runs. Faulty branch targets are
-// classified against the program's own CFG. An optional pre-recorded
-// checkpoint log of the native clean reference run skips the reference
-// execution entirely (native execution is deterministic, so a cached
-// log's finals are the clean run); nil records one when the checkpoint
-// engine is selected, and the log is ignored otherwise.
+// classified against the program's own CFG, which im — the program's
+// static image for the campaign's backend — carries along with the clean
+// run. An optional pre-recorded checkpoint log of the native clean
+// reference run is the checkpoint engine's reference (native execution is
+// deterministic, so a cached log's finals are the clean run); nil records
+// one when the checkpoint engine is selected, and the log is ignored
+// otherwise.
 //
 // Like the translated pipeline, samples shard across cfgn.Workers
 // goroutines with per-index fault derivation, so the classified results
 // are bit-identical for every worker count. Native runs share nothing
-// mutable — each sample gets its own machine; the CFG is read-only after
-// Build. The caller (Execute) has applied the config defaults.
-func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label string, log *ckpt.Log) (*Report, error) {
-	g := cfg.Build(p)
-
+// mutable — each sample gets its own machine state; the image is
+// read-only. The caller (Execute) has applied the config defaults.
+func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label string, log *ckpt.Log, im *StaticImage) (*Report, error) {
 	var want []int32
 	var branches, cleanSteps uint64
 	if log != nil && cfgn.CkptInterval != 0 {
@@ -125,22 +199,17 @@ func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label stri
 		cleanSteps = log.Final.Steps
 	} else {
 		log = nil // a cached log is meaningless to the replay engine
-		record := phaseSpan(cfgn.Metrics, label, "record")
-		clean := cpu.New()
-		clean.Reset(p)
-		cleanPlan := cpu.NewPlan(p.Code, nil)
-		stop := clean.RunPlan(&cleanPlan, cfgn.MaxSteps)
-		record.End()
-		if stop.Reason != cpu.StopHalt {
-			return nil, fmt.Errorf("%s: clean run ended with %v", p.Name, stop)
+		if im.stop.Reason != cpu.StopHalt {
+			return nil, fmt.Errorf("%s: clean run ended with %v", p.Name, im.stop)
 		}
-		want = append([]int32(nil), clean.Output...)
-		branches = clean.DirectBranches
-		cleanSteps = clean.Steps
+		want = im.want
+		branches = im.branches
+		cleanSteps = im.steps
 	}
 	if branches == 0 {
 		return nil, fmt.Errorf("%s: no branches to fault", p.Name)
 	}
+	g, se := im.g, im.se
 
 	rep := &Report{
 		Program:      p.Name,
@@ -155,14 +224,13 @@ func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label stri
 	cfgn.Progress.Begin(cfgn.Samples, rep.Workers, progressLabels())
 	shards := newShards(cfgn.Metrics, rep.Workers)
 	results := make([]sampleResult, cfgn.Samples)
-	se := newStaticExec(p, g, cfgn.Backend)
 	rep.Compiled = se.baseline()
 	rep.WarmCompiled = rep.Compiled
 	if cfgn.CkptInterval != 0 {
 		// Checkpoint engine: the native recording run doubles as the clean
 		// reference (native execution is trivially deterministic, so its
 		// geometry matches the clean run above exactly).
-		if err := runStaticCkptSamples(ctx, p, g, se, &cfgn, rep, label, shards, results, cleanSteps, log); err != nil {
+		if err := runStaticCkptSamples(ctx, p, im, &cfgn, rep, label, shards, results, cleanSteps, log); err != nil {
 			return nil, err
 		}
 		mg := phaseSpan(cfgn.Metrics, label, "merge")
@@ -183,7 +251,7 @@ func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label stri
 		m := cpu.New()
 		m.Reset(p)
 		m.Fault = f
-		v := se.view()
+		v := se.resetView(nil)
 		stop := se.run(v, m, cfgn.MaxSteps)
 		results[i].comp = se.stats(v)
 		cpu.TraceRunOutcome(cfgn.Trace, m, stop)

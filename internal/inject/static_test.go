@@ -1,8 +1,10 @@
 package inject
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -144,5 +146,42 @@ func TestOutcomeOfFaultedStaticRun(t *testing.T) {
 	out := classifyStaticOutcome(stop, m2.Output, want)
 	if out != OutBenign && out != OutSDC && out != OutDetectedHW && out != OutHang {
 		t.Errorf("unexpected outcome %v", out)
+	}
+}
+
+// A pre-built static image serves campaigns byte-identically to the
+// image a campaign builds for itself, and is refused where it does not
+// fit: another program, backend or step bound, or a translated campaign.
+func TestStaticImageOption(t *testing.T) {
+	p := mustAssemble(t, staticProg)
+	cfg := Config{Samples: 200, Seed: 5}
+	cfg.CkptInterval = -1
+	im := NewStaticImage(p, cfg.Backend, DefaultMaxSteps)
+	ctx := context.Background()
+	got, err := Execute(ctx, p, cfg, AsStatic("native"), WithStaticImage(im))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(ctx, p, cfg, AsStatic("native"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FormatNormalized(got) != FormatNormalized(want) || got.Compiled != want.Compiled {
+		t.Errorf("image campaign differs from a cold one\n got: %s\nwant: %s", FormatReport(got), FormatReport(want))
+	}
+
+	other := mustAssemble(t, staticProg)
+	short, plan := cfg, cfg
+	short.MaxSteps = 1000
+	plan.Backend = comp.BackendPlan
+	for what, run := range map[string]func() error{
+		"other program": func() error { _, err := Execute(ctx, other, cfg, AsStatic("native"), WithStaticImage(im)); return err },
+		"other bound":   func() error { _, err := Execute(ctx, p, short, AsStatic("native"), WithStaticImage(im)); return err },
+		"other backend": func() error { _, err := Execute(ctx, p, plan, AsStatic("native"), WithStaticImage(im)); return err },
+		"translated":    func() error { _, err := Execute(ctx, p, cfg, WithStaticImage(im)); return err },
+	} {
+		if run() == nil {
+			t.Errorf("%s: image accepted", what)
+		}
 	}
 }

@@ -9,6 +9,11 @@
 // carries the generation tag of its last write, and CaptureDirty hands out
 // exactly the pages written since the previous capture. Recording a
 // checkpoint therefore copies only the delta, not the whole image.
+//
+// The same tags drive the restore path: Rollback copies back from a
+// reference image only the pages written since the previous rollback, so a
+// machine reused across fault-injection samples pays for the pages its
+// last sample touched, not for the whole image.
 package mem
 
 import "fmt"
@@ -43,6 +48,9 @@ type Memory struct {
 	words   []int32
 	pageGen []uint64 // last-write generation per page
 	gen     uint64   // current write generation
+	// mark is the generation the last Rollback started: pages tagged at or
+	// after it were written since, and differ from the rollback image.
+	mark uint64
 }
 
 // pageCount returns the number of tracking pages covering n words.
@@ -54,11 +62,12 @@ func New(n uint32) *Memory {
 		words:   make([]int32, n),
 		pageGen: make([]uint64, pageCount(int(n))),
 		gen:     1,
+		mark:    1,
 	}
 }
 
 // NewFrom returns a memory initialized with a copy of words (the restore
-// path of the checkpoint engine).
+// path of the checkpoint engine). No page starts dirty.
 func NewFrom(words []int32) *Memory {
 	m := New(uint32(len(words)))
 	copy(m.words, words)
@@ -105,14 +114,48 @@ func (m *Memory) CaptureDirty(fn func(page uint32, words []int32)) {
 		if g != m.gen {
 			continue
 		}
-		lo := p << PageShift
-		hi := lo + PageWords
-		if hi > len(m.words) {
-			hi = len(m.words)
-		}
-		fn(uint32(p), m.words[lo:hi])
+		fn(uint32(p), m.pageWords(p))
 	}
 	m.gen++
+}
+
+// pageWords returns the words of page p (the final page may be short).
+func (m *Memory) pageWords(p int) []int32 {
+	lo := p << PageShift
+	return m.words[lo:min(lo+PageWords, len(m.words))]
+}
+
+// Rollback copies back from img every page written since the previous
+// Rollback (or since creation, CopyFrom or NewFrom), so that a memory which
+// equalled img at that point equals it again; img must have the memory's
+// size. It then starts a new generation: the restored pages count as
+// clean, and a following CaptureDirty sees only writes made after the
+// rollback — pending dirty pages are discarded along with their contents.
+func (m *Memory) Rollback(img []int32) {
+	for p, g := range m.pageGen {
+		if g >= m.mark {
+			copy(m.pageWords(p), img[p<<PageShift:])
+		}
+	}
+	m.gen++
+	m.mark = m.gen
+}
+
+// CopyFrom overwrites the whole memory with img (which must have the
+// memory's size) and, like Rollback, starts a new generation in which no
+// page is dirty.
+func (m *Memory) CopyFrom(img []int32) {
+	copy(m.words, img)
+	m.gen++
+	m.mark = m.gen
+}
+
+// SetPage overwrites the leading words of page p without marking the page
+// dirty: the caller applies the same words to its rollback image, so the
+// memory and the image stay equal on that page. Words past the memory's
+// end are a caller bug and panic.
+func (m *Memory) SetPage(p uint32, words []int32) {
+	copy(m.words[int(p)<<PageShift:][:len(words)], words)
 }
 
 // Snapshot returns a copy of the memory contents (for tests and debugging).

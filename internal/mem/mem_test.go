@@ -181,3 +181,87 @@ func TestLoadStoreProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Rollback restores exactly the pages written since the previous rollback
+// — including pages a CaptureDirty in between already handed out — and
+// leaves no page dirty for the next capture. SetPage and CopyFrom write
+// without dirtying.
+func TestRollback(t *testing.T) {
+	const size = PageWords*3 + 5 // final page is short
+	img := make([]int32, size)
+	for i := range img {
+		img[i] = int32(i) * 7
+	}
+	m := NewFrom(img)
+	mustStore := func(addr uint32, v int32) {
+		t.Helper()
+		if err := m.Store(addr, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	equalsImg := func(what string) {
+		t.Helper()
+		for i, v := range m.Snapshot() {
+			if v != img[i] {
+				t.Fatalf("%s: word %d = %d, want %d", what, i, v, img[i])
+			}
+		}
+	}
+
+	mustStore(3, -1)
+	if got := capturePages(m); len(got) != 1 {
+		t.Fatalf("capture before rollback = %v, want page 0", got)
+	}
+	mustStore(PageWords*3+4, -2) // short final page, after the capture
+	m.Rollback(img)
+	equalsImg("rollback across a capture")
+	if got := capturePages(m); len(got) != 0 {
+		t.Errorf("capture after rollback = %v, want none", got)
+	}
+
+	// The next rollback sees only writes since the previous one: words
+	// changed behind its back stay changed, on a never-written page and on
+	// a page written only before the previous rollback.
+	m.words[PageWords] = 99
+	m.words[3] = 77
+	mustStore(2*PageWords, -3)
+	m.Rollback(img)
+	if v, _ := m.Load(PageWords); v != 99 {
+		t.Errorf("untouched page was rolled back: word = %d", v)
+	}
+	if v, _ := m.Load(3); v != 77 {
+		t.Errorf("page written before the previous rollback was rolled back again: word = %d", v)
+	}
+	if v, _ := m.Load(2 * PageWords); v != img[2*PageWords] {
+		t.Errorf("written page not rolled back: word = %d", v)
+	}
+	m.words[PageWords], m.words[3] = img[PageWords], img[3]
+
+	// SetPage keeps the page clean; the caller mirrors it into the image.
+	delta := []int32{41, 42}
+	m.SetPage(1, delta)
+	copy(img[PageWords:], delta)
+	if got := capturePages(m); len(got) != 0 {
+		t.Errorf("SetPage dirtied %v", got)
+	}
+	mustStore(0, 5)
+	m.Rollback(img)
+	equalsImg("rollback after SetPage")
+
+	// CopyFrom overwrites everything and clears pending dirt.
+	mustStore(1, 6)
+	for i := range img {
+		img[i] = -int32(i)
+	}
+	m.CopyFrom(img)
+	equalsImg("CopyFrom")
+	m.Rollback(img)
+	equalsImg("rollback after CopyFrom")
+	if got := capturePages(m); len(got) != 0 {
+		t.Errorf("capture after CopyFrom = %v, want none", got)
+	}
+	// Reset dirties every page, so a rollback restores all of them.
+	m.Reset()
+	m.Rollback(img)
+	equalsImg("rollback after Reset")
+}

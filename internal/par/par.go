@@ -4,14 +4,48 @@
 // slot. Because job i's inputs are derived from i alone and the caller
 // merges slots in index order, the combined result is bit-identical
 // regardless of the worker count or the order in which jobs finish.
+//
+// A panicking job does not take the process down: the pool recovers it
+// into a *PanicError, the panicking worker stops, and the other workers
+// finish as they would after an ordinary job error.
 package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is a worker panic recovered by the pool: which worker
+// panicked, the value it panicked with and its stack at the panic.
+type PanicError struct {
+	Worker int
+	Value  any
+	Stack  []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("par: worker %d panicked: %v\n%s", e.Worker, e.Value, e.Stack)
+}
+
+// Unwrap exposes a panic value that is itself an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// guard runs fn, turning a panic into a *PanicError for worker w.
+func guard(w int, fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Worker: w, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
 
 // Workers resolves a worker-count knob: n <= 0 selects GOMAXPROCS, and the
 // pool is never larger than the job count.
@@ -71,7 +105,7 @@ func RunWorkersCtx(ctx context.Context, workers int, fn func(ctx context.Context
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := fn(ctx, 0)
+		err := guard(0, func() error { return fn(ctx, 0) })
 		return ctxFirst(ctx, err)
 	}
 	errs := make([]error, workers)
@@ -80,7 +114,7 @@ func RunWorkersCtx(ctx context.Context, workers int, fn func(ctx context.Context
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = fn(ctx, w)
+			errs[w] = guard(w, func() error { return fn(ctx, w) })
 		}(w)
 	}
 	wg.Wait()
@@ -123,7 +157,7 @@ func ForEachShardCtx(ctx context.Context, jobs, workers int, fn func(worker, i i
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := guard(0, func() error { return fn(0, i) }); err != nil {
 				return ctxFirst(ctx, err)
 			}
 		}
@@ -142,7 +176,10 @@ func ForEachShardCtx(ctx context.Context, jobs, workers int, fn func(worker, i i
 				if i >= jobs {
 					return
 				}
-				errs[i] = fn(w, i)
+				errs[i] = guard(w, func() error { return fn(w, i) })
+				if _, ok := errs[i].(*PanicError); ok {
+					return // the worker's state is suspect; the others carry on
+				}
 			}
 		}(w)
 	}

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/inject"
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -170,5 +172,61 @@ func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
 	}
 	if rep.Samples != testSamples {
 		t.Errorf("post-corruption session served %d samples, want %d", rep.Samples, testSamples)
+	}
+}
+
+// An artifact whose embedded log frames correctly — valid checksums and
+// fingerprint all the way down — but carries a page index past the
+// machine's memory must fail verification, and the registry must build
+// the session locally and serve the same campaigns as an honest build.
+// Without the decode-time geometry check the restore would write that
+// page into a reused machine and panic the replica.
+func TestArtifactCraftedLogFallsBackToLocalBuild(t *testing.T) {
+	for _, tech := range []string{"RCF", "CFCSS"} {
+		t.Run(tech, func(t *testing.T) {
+			k := testKey(tech, -1)
+			rA, _ := artifactRegistry(artifact.NewStore(""), "")
+			sA := mustSession(t, rA, k)
+			base, err := rA.Program(k.Workload, k.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			afp := rA.artifactFingerprint(sA, base)
+			a := rA.cfg.Artifacts.Fetch(afp)
+			if a == nil || a.Log == nil {
+				t.Fatal("published artifact with a log not fetched back")
+			}
+			pts := a.Log.Points
+			pts[len(pts)-1].Pages = append(pts[len(pts)-1].Pages,
+				ckpt.Page{Index: a.Log.MemWords>>mem.PageShift + 1, Words: []int32{1}})
+			bad := artifact.NewStore("")
+			if err := bad.Link(artifact.RefID(afp), bad.Put(a.Encode(afp))); err != nil {
+				t.Fatal(err)
+			}
+
+			rC, regC := artifactRegistry(bad, "")
+			sC := mustSession(t, rC, k)
+			if got := counter(regC, "artifact_fetch_corrupt_total"); got != 1 {
+				t.Errorf("corrupt fetches = %d, want 1", got)
+			}
+			if got := counter(regC, "session_restores_total"); got != 0 {
+				t.Errorf("restores = %d, want 0", got)
+			}
+			if got := counter(regC, "session_warm_builds_total"); got != 1 {
+				t.Errorf("warm builds = %d, want 1", got)
+			}
+			spec, opts := Spec{Samples: testSamples, Seed: 11}, core.Options{Workers: 2}
+			repA, err := sA.Run(context.Background(), spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repC, err := sC.Run(context.Background(), spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := inject.FormatNormalized(repC), inject.FormatNormalized(repA); got != want {
+				t.Errorf("rebuilt session's report differs\n got: %s\nwant: %s", got, want)
+			}
+		})
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/check"
 	"repro/internal/ckpt"
+	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
@@ -87,6 +88,16 @@ type Session struct {
 
 	mu        sync.Mutex
 	campaigns int64
+	// images holds a static session's native-campaign image per resolved
+	// backend, built on the first static campaign that needs it — never
+	// during session build — and shared read-only by every later one.
+	images map[comp.Backend]*staticImage
+}
+
+// staticImage is one lazily built entry of Session.images.
+type staticImage struct {
+	once sync.Once
+	im   *inject.StaticImage
 }
 
 // Campaigns returns how many campaigns this session has served.
@@ -131,8 +142,8 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 	var err error
 	if s.static {
 		cfg.Policy = s.pol
-		rep, err = inject.Execute(ctx, s.prog, cfg,
-			inject.AsStatic(s.label), inject.WithRecording(s.log))
+		rep, err = inject.Execute(ctx, s.prog, cfg, inject.AsStatic(s.label),
+			inject.WithRecording(s.log), inject.WithStaticImage(s.staticImage(opts.Backend)))
 	} else {
 		cfg.Technique, cfg.Policy = s.tech, s.pol
 		rep, err = inject.Execute(ctx, s.prog, cfg,
@@ -144,6 +155,25 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 		s.mu.Unlock()
 	}
 	return rep, err
+}
+
+// staticImage returns the session's static image for backend, building it
+// on first use. Session campaigns run with the default step bound, so the
+// image is built for it.
+func (s *Session) staticImage(backend comp.Backend) *inject.StaticImage {
+	b := backend.Resolve()
+	s.mu.Lock()
+	e := s.images[b]
+	if e == nil {
+		if s.images == nil {
+			s.images = map[comp.Backend]*staticImage{}
+		}
+		e = &staticImage{}
+		s.images[b] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() { e.im = inject.NewStaticImage(s.prog, b, inject.DefaultMaxSteps) })
+	return e.im
 }
 
 // Config parameterizes a Registry.
