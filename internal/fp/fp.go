@@ -13,7 +13,11 @@
 //     must change whenever their inputs' bytes change — most importantly
 //     Program, which fingerprints a built workload by everything that
 //     influences its execution (name, entry point, data segment size and
-//     the encoded instruction image).
+//     the encoded instruction image). Program re-encodes and hashes the
+//     whole image on every call, so callers on a hot path hash once and
+//     keep the result: the session registry memoizes it per built
+//     program, and every served cell key and artifact fingerprint over
+//     that program reuses the memo.
 package fp
 
 import (

@@ -53,4 +53,22 @@
 // corruption (bad magic, checksum, framing, JSON — ErrCorrupt) from
 // staleness (clean decode, different fingerprint — ErrStale); both fall
 // back to recompute-and-rewrite. Writes go through a temp file + rename.
+//
+// # Memory and disk layers
+//
+// Every Cache keeps encoded entries in memory; one built with a directory
+// also writes each through to disk. The memory layer is an LRU bounded by
+// a fixed byte budget (memBudget, 4 MiB of encoded entries): a lookup
+// moves its cell to the front, a store replaces any entry under the same
+// name and then evicts from the back until the layer fits, counting each
+// eviction as graph_cache_mem_evictions_total. A long-running server
+// that sees a fresh seed on many requests therefore holds a bounded heap
+// however many cells it serves. The disk layer is unbounded as before,
+// so an evicted cell is still answered from its file when a directory is
+// configured; a memory-only cache recomputes it.
+//
+// Keying a cell needs the program's content hash, which re-encodes and
+// hashes the whole instruction image. KeyFor computes it per call;
+// KeyForHash takes it precomputed, so the session registry hashes each
+// built program once and keys every served cell from that memo.
 package graph

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -67,6 +68,15 @@ type CellKey struct {
 // inject.DefaultMaxSteps) so spellings that run identically share a cell.
 func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
+	return KeyForHash(p.Name, fp.Program(p), technique, style, policy, samples, seed,
+		sampleOffset, ckptInterval, backend, maxSteps)
+}
+
+// KeyForHash is KeyFor for a caller that already holds the program's
+// content hash (fp.Program), so a server keying many cells over one
+// immutable program hashes it once instead of once per cell.
+func KeyForHash(name, programHash, technique, style, policy string, samples int, seed int64,
+	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
 	backend = backend.Resolve()
 	if maxSteps == 0 {
 		maxSteps = inject.DefaultMaxSteps
@@ -75,8 +85,8 @@ func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed i
 		sampleOffset = 0
 	}
 	return CellKey{
-		Program:      p.Name,
-		ProgramHash:  fp.Program(p),
+		Program:      name,
+		ProgramHash:  programHash,
 		Technique:    technique,
 		Style:        style,
 		Policy:       policy,
@@ -136,20 +146,38 @@ type Entry struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
+// memBudget bounds the encoded bytes one cache's memory layer retains.
+// A cell encodes to about 5 KB, so several hundred hot cells stay
+// resident; colder ones fall back to the disk layer (when configured)
+// or recompute.
+const memBudget = 4 << 20
+
 // Cache is a content-keyed store of campaign cells: an in-memory layer
-// always, plus a directory when configured. The zero value is not usable;
-// a nil *Cache is valid and disables caching (Run always computes).
+// always, plus a directory when configured. The memory layer is an LRU
+// bounded by memBudget encoded bytes; the disk layer is unbounded. The
+// zero value is not usable; a nil *Cache is valid and disables caching
+// (Run always computes).
 type Cache struct {
 	dir string // "" = memory-only
 
-	mu  sync.Mutex
-	mem map[string][]byte // encoded entries by file name
+	mu     sync.Mutex
+	budget int                      // memory-layer byte bound
+	bytes  int                      // encoded bytes currently in mem
+	lru    *list.List               // *memEntry, most recently used first
+	mem    map[string]*list.Element // lru elements by file name
+}
+
+// memEntry is one encoded entry resident in the memory layer.
+type memEntry struct {
+	name string
+	raw  []byte
 }
 
 // New returns a cache persisting under dir ("" keeps entries in memory
-// only — hits survive the process, not a restart).
+// only — hits survive the process, not a restart, and an evicted cell
+// recomputes).
 func New(dir string) *Cache {
-	return &Cache{dir: dir, mem: map[string][]byte{}}
+	return &Cache{dir: dir, budget: memBudget, lru: list.New(), mem: map[string]*list.Element{}}
 }
 
 // Dir returns the persistence directory ("" when memory-only).
@@ -176,8 +204,13 @@ func (c *Cache) Lookup(k CellKey, metrics *obs.Registry) *Entry {
 	}
 	name := k.fileName()
 	want := k.Fingerprint()
+	var raw []byte
 	c.mu.Lock()
-	raw, ok := c.mem[name]
+	el, ok := c.mem[name]
+	if ok {
+		c.lru.MoveToFront(el)
+		raw = el.Value.(*memEntry).raw
+	}
 	c.mu.Unlock()
 	if !ok && c.dir != "" {
 		b, err := os.ReadFile(filepath.Join(c.dir, name))
@@ -204,15 +237,18 @@ func (c *Cache) Lookup(k CellKey, metrics *obs.Registry) *Entry {
 // Store encodes and saves the entry under k, in memory and — when a
 // directory is configured — on disk via temp file + rename, best effort:
 // a read-only or full disk degrades to memory-only, never to an error.
-func (c *Cache) Store(k CellKey, e *Entry) {
+func (c *Cache) Store(k CellKey, e *Entry) { c.store(k, e, nil) }
+
+// store is Store counting memory-layer evictions into metrics.
+func (c *Cache) store(k CellKey, e *Entry, metrics *obs.Registry) {
 	if c == nil {
 		return
 	}
 	raw := encodeEntry(e, k.Fingerprint())
 	name := k.fileName()
-	c.mu.Lock()
-	c.mem[name] = raw
-	c.mu.Unlock()
+	if n := c.remember(name, raw); n > 0 && metrics != nil {
+		metrics.Counter("graph_cache_mem_evictions_total").Add(uint64(n))
+	}
 	if c.dir == "" {
 		return
 	}
@@ -233,6 +269,29 @@ func (c *Cache) Store(k CellKey, e *Entry) {
 	if err != nil {
 		os.Remove(tmp.Name())
 	}
+}
+
+// remember puts raw at the front of the memory layer under name,
+// replacing any entry already there, then evicts least recently used
+// entries until the layer fits its budget. It returns how many entries
+// it evicted.
+func (c *Cache) remember(name string, raw []byte) (evicted int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.mem[name]; ok {
+		c.bytes -= len(el.Value.(*memEntry).raw)
+		c.lru.Remove(el)
+		delete(c.mem, name)
+	}
+	c.mem[name] = c.lru.PushFront(&memEntry{name: name, raw: raw})
+	c.bytes += len(raw)
+	for c.bytes > c.budget {
+		old := c.lru.Remove(c.lru.Back()).(*memEntry)
+		delete(c.mem, old.name)
+		c.bytes -= len(old.raw)
+		evicted++
+	}
+	return evicted
 }
 
 // Run resolves one cell: a hit returns the cached normalized report
@@ -273,10 +332,10 @@ func (c *Cache) Run(k CellKey, metrics *obs.Registry,
 	stored := *rep
 	stored.Workers = 0
 	stored.Elapsed = 0
-	c.Store(k, &Entry{
+	c.store(k, &Entry{
 		Report:     &stored,
 		Normalized: inject.FormatNormalized(rep),
 		Metrics:    full.StripTimings(),
-	})
+	}, metrics)
 	return rep, false, nil
 }

@@ -151,11 +151,11 @@ func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
 	rC := NewRegistry(Config{Metrics: regC, Artifacts: &artifact.Client{Local: badStore, Metrics: regC}})
 	// Plant the garbage blob behind the exact fingerprint the registry
 	// will derive for k, so the fetch resolves and fails verification.
-	base, err := rC.Program(k.Workload, k.Scale)
+	pe, err := rC.program(k.Workload, k.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afp := rC.artifactFingerprint(&Session{Key: k, label: "RCF"}, base)
+	afp := rC.artifactFingerprint(&Session{Key: k, label: "RCF"}, pe)
 	if err := badStore.Link(artifact.RefID(afp), artifact.Digest(blob)); err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestArtifactCraftedLogFallsBackToLocalBuild(t *testing.T) {
 			k := testKey(tech, -1)
 			rA, _ := artifactRegistry(artifact.NewStore(""), "")
 			sA := mustSession(t, rA, k)
-			base, err := rA.Program(k.Workload, k.Scale)
+			pe, err := rA.program(k.Workload, k.Scale)
 			if err != nil {
 				t.Fatal(err)
 			}
-			afp := rA.artifactFingerprint(sA, base)
+			afp := rA.artifactFingerprint(sA, pe)
 			a := rA.cfg.Artifacts.Fetch(afp)
 			if a == nil || a.Log == nil {
 				t.Fatal("published artifact with a log not fetched back")

@@ -80,6 +80,7 @@ type Session struct {
 	label      string        // canonical technique label ("RCF", "CFCSS", ...)
 	snap       *dbt.Snapshot // nil for static baselines
 	cleanSteps uint64
+	maxSteps   uint64    // the registry's step budget, used by every run
 	log        *ckpt.Log // nil when CkptInterval == 0
 
 	// FromDisk reports that the checkpoint log was loaded from the cache
@@ -128,13 +129,16 @@ type Spec struct {
 
 // Run executes one campaign on the warm session. opts carries the
 // per-request execution surface; its CkptInterval is overridden by the
-// session key's (the log was recorded for that interval). The report is
-// byte-identical to a cold cfc-inject run of the same configuration.
+// session key's (the log was recorded for that interval). Every sample
+// runs under the registry's step budget, the one the clean run and the
+// log were made with. The report is byte-identical to a cold cfc-inject
+// run of the same configuration.
 func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*inject.Report, error) {
 	cfg := inject.Config{
 		Samples:      spec.Samples,
 		Seed:         spec.Seed,
 		SampleOffset: spec.SampleOffset,
+		MaxSteps:     s.maxSteps,
 		Options:      opts,
 	}
 	cfg.CkptInterval = s.Key.CkptInterval
@@ -158,8 +162,7 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 }
 
 // staticImage returns the session's static image for backend, building it
-// on first use. Session campaigns run with the default step bound, so the
-// image is built for it.
+// on first use under the session's step budget.
 func (s *Session) staticImage(backend comp.Backend) *inject.StaticImage {
 	b := backend.Resolve()
 	s.mu.Lock()
@@ -172,7 +175,7 @@ func (s *Session) staticImage(backend comp.Backend) *inject.StaticImage {
 		s.images[b] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.im = inject.NewStaticImage(s.prog, b, inject.DefaultMaxSteps) })
+	e.once.Do(func() { e.im = inject.NewStaticImage(s.prog, b, s.maxSteps) })
 	return e.im
 }
 
@@ -236,6 +239,23 @@ type progEntry struct {
 	ready chan struct{}
 	prog  *isa.Program
 	err   error
+
+	hashOnce sync.Once
+	hash     string
+}
+
+// programHash is the content hash progEntry memoizes; tests wrap it to
+// count how often a program is hashed.
+var programHash = fp.Program
+
+// contentHash returns fp.Program of the built program, computed on first
+// use and at most once per entry: the program is immutable once built,
+// so every cell key and artifact fingerprint over it shares one hash.
+// It stays lazy because a registry without a graph cache or artifact
+// tier never needs it.
+func (pe *progEntry) contentHash() string {
+	pe.hashOnce.Do(func() { pe.hash = programHash(pe.prog) })
+	return pe.hash
 }
 
 // NewRegistry returns an empty registry.
@@ -319,12 +339,12 @@ func (r *Registry) RunCell(ctx context.Context, k Key, spec Spec, opts core.Opti
 		rep, err := sess.Run(ctx, spec, opts)
 		return rep, false, err
 	}
-	prog, err := r.program(k.Workload, k.Scale)
+	pe, err := r.program(k.Workload, k.Scale)
 	if err != nil {
 		return nil, false, err
 	}
-	ck := graph.KeyFor(prog, k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
-		spec.SampleOffset, k.CkptInterval, opts.Backend, r.cfg.MaxSteps)
+	ck := graph.KeyForHash(pe.prog.Name, pe.contentHash(), k.Technique, k.Style, k.Policy,
+		spec.Samples, spec.Seed, spec.SampleOffset, k.CkptInterval, opts.Backend, r.cfg.MaxSteps)
 	return g.Run(ck, opts.Metrics, func(m *obs.Registry) (*inject.Report, error) {
 		sess, err := r.Session(ctx, k)
 		if err != nil {
@@ -433,12 +453,16 @@ func (r *Registry) sweepEvicted(evicted []Key) {
 // through the registry so HTTP-driven benchmarks and campaigns share one
 // program build per configuration.
 func (r *Registry) Program(workload string, scale float64) (*isa.Program, error) {
-	return r.program(workload, scale)
+	pe, err := r.program(workload, scale)
+	if err != nil {
+		return nil, err
+	}
+	return pe.prog, nil
 }
 
-// program returns the built workload, shared across every session (and
-// technique) using the same (workload, scale).
-func (r *Registry) program(workload string, scale float64) (*isa.Program, error) {
+// program returns the entry of the built workload, shared across every
+// session (and technique) using the same (workload, scale).
+func (r *Registry) program(workload string, scale float64) (*progEntry, error) {
 	pk := progKey{workload, scale}
 	r.mu.Lock()
 	pe, ok := r.programs[pk]
@@ -449,7 +473,7 @@ func (r *Registry) program(workload string, scale float64) (*isa.Program, error)
 	r.mu.Unlock()
 	if ok {
 		<-pe.ready
-		return pe.prog, pe.err
+		return pe, pe.err
 	}
 	pe.prog, pe.err = core.Workload(workload, scale)
 	close(pe.ready)
@@ -460,7 +484,7 @@ func (r *Registry) program(workload string, scale float64) (*isa.Program, error)
 		}
 		r.mu.Unlock()
 	}
-	return pe.prog, pe.err
+	return pe, pe.err
 }
 
 // staticKind resolves a static-baseline technique name.
@@ -481,15 +505,16 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	base, err := r.program(k.Workload, k.Scale)
+	pe, err := r.program(k.Workload, k.Scale)
 	if err != nil {
 		return nil, err
 	}
+	base := pe.prog
 	pol, err := core.ParsePolicy(k.Policy)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Key: k, pol: pol}
+	s := &Session{Key: k, pol: pol, maxSteps: r.cfg.MaxSteps}
 
 	if kind, ok := staticKind(k.Technique); ok {
 		s.static = true
@@ -497,7 +522,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		if s.prog, err = check.InstrumentStatic(base, kind); err != nil {
 			return nil, err
 		}
-		afp := r.artifactFingerprint(s, base)
+		afp := r.artifactFingerprint(s, pe)
 		if r.restoreSession(s, afp, base) {
 			return s, nil
 		}
@@ -519,7 +544,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 			}
 		}
 		r.count("session_warm_builds_total")
-		r.publishArtifact(s, afp, base)
+		r.publishArtifact(s, afp, pe)
 		return s, nil
 	}
 
@@ -535,7 +560,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		s.label = s.tech.Name()
 	}
 	s.prog = base
-	afp := r.artifactFingerprint(s, base)
+	afp := r.artifactFingerprint(s, pe)
 	if r.restoreSession(s, afp, base) {
 		return s, nil
 	}
@@ -556,7 +581,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		}
 	}
 	r.count("session_warm_builds_total")
-	r.publishArtifact(s, afp, base)
+	r.publishArtifact(s, afp, pe)
 	return s, nil
 }
 
@@ -564,11 +589,11 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 // under construction: the session key plus everything that shapes the
 // warm state but is not in the key (program content, step budget, engine
 // and technique versions). "" disables the tier for this build.
-func (r *Registry) artifactFingerprint(s *Session, base *isa.Program) string {
+func (r *Registry) artifactFingerprint(s *Session, pe *progEntry) string {
 	if r.cfg.Artifacts == nil {
 		return ""
 	}
-	return artifact.Fingerprint(s.Key.String(), s.label, fp.Program(base), r.cfg.MaxSteps)
+	return artifact.Fingerprint(s.Key.String(), s.label, pe.contentHash(), r.cfg.MaxSteps)
 }
 
 // restoreSession hydrates s from a fetched warm artifact. It reports true
@@ -614,13 +639,13 @@ func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) boo
 // publishArtifact ships the locally built session to the artifact tier,
 // best effort: an unexportable snapshot or a store failure degrades to
 // not publishing, never to a build error.
-func (r *Registry) publishArtifact(s *Session, afp string, base *isa.Program) {
+func (r *Registry) publishArtifact(s *Session, afp string, pe *progEntry) {
 	if afp == "" {
 		return
 	}
 	a := &artifact.Artifact{
 		Key:         s.Key.String(),
-		ProgramHash: fp.Program(base),
+		ProgramHash: pe.contentHash(),
 		MaxSteps:    r.cfg.MaxSteps,
 		CleanSteps:  s.cleanSteps,
 		Static:      s.static,
