@@ -23,9 +23,14 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/artifact"
 )
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle half-open connections cannot pin the server.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9290", "listen address")
@@ -33,7 +38,7 @@ func main() {
 	flag.Parse()
 
 	store := artifact.NewStore(*dir)
-	hs := &http.Server{Addr: *addr, Handler: artifact.Handler(store)}
+	hs := &http.Server{Addr: *addr, Handler: artifact.Handler(store), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

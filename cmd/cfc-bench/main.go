@@ -31,18 +31,17 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
-		scale      = flag.Float64("scale", 1.0, "workload dynamic scale")
-		stepOut    = flag.String("step-json", "", "run the step-throughput microbench (baseline vs predecoded vs compiled) and write the record to this file")
-		compileOut = flag.String("compile-json", "", "with -step-json: also write the compiled-backend record (BENCH_compile.json schema) to this file")
-		graphOut   = flag.String("graph-json", "", "run the full coverage matrix cold then hot against a graph cell cache and write the record to this file")
+		fig      = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
+		scale    = flag.Float64("scale", 1.0, "workload dynamic scale")
+		stepOut  = flag.String("step-json", "", "run the step-throughput microbench (step interpreter vs compiled) and write the record to this file")
+		graphOut = flag.String("graph-json", "", "run the full coverage matrix cold then hot against a graph cell cache and write the record to this file")
 	)
 	app := cli.App{CkptInterval: -1}
 	app.BindFlags(flag.CommandLine)
 	flag.Parse()
 	fatalIf(app.Open())
 	if *stepOut != "" {
-		fatalIf(writeStepJSON(*stepOut, *compileOut, *scale))
+		fatalIf(writeStepJSON(*stepOut, *scale))
 		fatalIf(app.Close())
 		return
 	}
@@ -113,60 +112,33 @@ func main() {
 	fatalIf(app.Close())
 }
 
-// stepRecord is the -step-json schema CI gates on: the predecoded
-// interpreter must beat the per-step baseline, and the block-compiled
-// backend must beat the predecoded plan, each by the committed factor
-// with a byte-identical architectural outcome.
+// stepRecord is the -step-json schema CI gates on: the block-compiled
+// backend must beat the per-step interpreter by the committed factor with
+// a byte-identical architectural outcome.
 type stepRecord struct {
-	Workload       string  `json:"workload"`
-	Scale          float64 `json:"scale"`
-	Steps          uint64  `json:"steps"`
-	Reps           int     `json:"reps"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	NumCPU         int     `json:"num_cpu"`
-	RunSec         float64 `json:"run_sec"`
-	PlanSec        float64 `json:"plan_sec"`
-	CompileSec     float64 `json:"compile_sec"`
-	Speedup        float64 `json:"speedup"`
-	CompileSpeedup float64 `json:"compile_speedup"`
-	Identical      bool    `json:"identical"`
+	Workload   string  `json:"workload"`
+	Scale      float64 `json:"scale"`
+	Steps      uint64  `json:"steps"`
+	Reps       int     `json:"reps"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"num_cpu"`
+	RunSec     float64 `json:"run_sec"`
+	CompileSec float64 `json:"compile_sec"`
+	Speedup    float64 `json:"speedup"`
+	Identical  bool    `json:"identical"`
 }
 
-// compileRecord is the BENCH_compile.json schema: just the compiled-vs-plan
-// leg of the step microbench, the gate the acceptance criteria pin.
-type compileRecord struct {
-	Workload       string  `json:"workload"`
-	Scale          float64 `json:"scale"`
-	Steps          uint64  `json:"steps"`
-	Reps           int     `json:"reps"`
-	PlanSec        float64 `json:"plan_sec"`
-	CompileSec     float64 `json:"compile_sec"`
-	CompileSpeedup float64 `json:"compile_speedup"`
-	Identical      bool    `json:"identical"`
-}
-
-func writeStepJSON(path, compilePath string, scale float64) error {
+func writeStepJSON(path string, scale float64) error {
 	r, err := bench.StepThroughput("164.gzip", scale, 3)
 	if err != nil {
 		return err
 	}
 	fmt.Print(bench.FormatStep(r))
-	rec := stepRecord{
+	return writeJSON(path, stepRecord{
 		Workload: r.Workload, Scale: scale, Steps: r.Steps, Reps: r.Reps,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		RunSec: r.RunSec, PlanSec: r.PlanSec, CompileSec: r.CompileSec,
-		Speedup: r.Speedup, CompileSpeedup: r.CompileSpeedup, Identical: r.Identical,
-	}
-	if err := writeJSON(path, rec); err != nil {
-		return err
-	}
-	if compilePath == "" {
-		return nil
-	}
-	return writeJSON(compilePath, compileRecord{
-		Workload: r.Workload, Scale: scale, Steps: r.Steps, Reps: r.Reps,
-		PlanSec: r.PlanSec, CompileSec: r.CompileSec,
-		CompileSpeedup: r.CompileSpeedup, Identical: r.Identical,
+		RunSec: r.RunSec, CompileSec: r.CompileSec,
+		Speedup: r.Speedup, Identical: r.Identical,
 	})
 }
 

@@ -48,6 +48,10 @@ import (
 	"repro/internal/session"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle half-open connections cannot pin the server.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8320", "listen address")
@@ -99,7 +103,7 @@ func main() {
 	defer stop()
 	f.Start(ctx)
 
-	hs := &http.Server{Addr: *addr, Handler: f.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: f.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "cfc-front: listening on http://%s over %d replica(s)\n",

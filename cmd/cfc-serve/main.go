@@ -66,6 +66,10 @@ import (
 	"repro/internal/session"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle half-open connections cannot pin the server.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8321", "listen address")
@@ -162,9 +166,10 @@ func main() {
 	)
 
 	hs := &http.Server{
-		Addr:        *addr,
-		Handler:     mux,
-		BaseContext: func(net.Listener) context.Context { return runCtx },
+		Addr:              *addr,
+		Handler:           mux,
+		BaseContext:       func(net.Listener) context.Context { return runCtx },
+		ReadHeaderTimeout: readHeaderTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() {

@@ -10,33 +10,30 @@ import (
 	"repro/internal/workloads"
 )
 
-// StepResult reports the predecoded hot loop (RunPlan) and the
-// block-compiled backend against the baseline per-step interpreter (Run)
-// on one workload: best-of-reps wall-clock for each, the composed
-// speedups, and an identity verdict over the full architectural outcome.
+// StepResult reports the block-compiled backend against the per-step
+// reference interpreter (Machine.Run) on one workload: best-of-reps
+// wall-clock for each, the speedup, and an identity verdict over the full
+// architectural outcome.
 type StepResult struct {
-	Workload       string
-	Steps          uint64 // guest instructions retired per run
-	Reps           int
-	RunSec         float64 // baseline interpreter, best rep
-	PlanSec        float64 // predecoded plan, best rep
-	CompileSec     float64 // block-compiled backend, best rep
-	Speedup        float64 // RunSec / PlanSec
-	CompileSpeedup float64 // PlanSec / CompileSec
-	Identical      bool    // counters, registers, flags and output all match
+	Workload   string
+	Steps      uint64 // guest instructions retired per run
+	Reps       int
+	RunSec     float64 // step interpreter, best rep
+	CompileSec float64 // block-compiled backend, best rep
+	Speedup    float64 // RunSec / CompileSec
+	Identical  bool    // counters, registers, flags and output all match
 }
 
-// StepThroughput measures raw step throughput across the three execution
-// backends: the per-step interpreter, the predecoded execution plan, and
-// the block-compiled engine with direct chaining. All three run the same
-// program to completion reps times; the best (minimum) wall-clock per
-// engine is kept, the usual microbenchmark discipline for spotting the
-// noise floor. The compiled engine is built once before the reps — hot
-// blocks promoted on rep one serve every later rep, exactly how a warm
-// campaign reuses a frozen snapshot core. The identity verdict compares
-// final registers, flags, IP, step/cycle/branch counters and output —
-// both the plan and the compiled backend must be pure performance
-// transforms.
+// StepThroughput measures raw step throughput of the two execution
+// backends: the per-step interpreter (the semantic oracle) and the
+// block-compiled engine with direct chaining. Both run the same program to
+// completion reps times; the best (minimum) wall-clock per engine is kept,
+// the usual microbenchmark discipline for spotting the noise floor. The
+// compiled engine is built once before the reps — hot blocks promoted on
+// rep one serve every later rep, exactly how a warm campaign reuses a
+// frozen snapshot core. The identity verdict compares final registers,
+// flags, IP, step/cycle/branch counters and output — the compiled backend
+// must be a pure performance transform.
 func StepThroughput(workload string, scale float64, reps int) (*StepResult, error) {
 	if reps <= 0 {
 		reps = 3
@@ -74,8 +71,7 @@ func StepThroughput(workload string, scale float64, reps int) (*StepResult, erro
 	}
 
 	res := &StepResult{Workload: p.Name, Reps: reps}
-	var runOut, planOut, compOut outcome
-	plan := cpu.NewPlan(p.Code, nil)
+	var runOut, compOut outcome
 	eng := comp.NewEngine(p.Code, nil, 0)
 	for rep := 0; rep < reps; rep++ {
 		m := cpu.New()
@@ -84,7 +80,7 @@ func StepThroughput(workload string, scale float64, reps int) (*StepResult, erro
 		stop := m.Run(p.Code, DefaultMaxSteps)
 		sec := time.Since(start).Seconds()
 		if stop.Reason != cpu.StopHalt {
-			return nil, fmt.Errorf("%s: baseline run ended with %v", p.Name, stop)
+			return nil, fmt.Errorf("%s: step run ended with %v", p.Name, stop)
 		}
 		if rep == 0 || sec < res.RunSec {
 			res.RunSec = sec
@@ -94,20 +90,7 @@ func StepThroughput(workload string, scale float64, reps int) (*StepResult, erro
 		m = cpu.New()
 		m.Reset(p)
 		start = time.Now()
-		stop = m.RunPlan(&plan, DefaultMaxSteps)
-		sec = time.Since(start).Seconds()
-		if stop.Reason != cpu.StopHalt {
-			return nil, fmt.Errorf("%s: plan run ended with %v", p.Name, stop)
-		}
-		if rep == 0 || sec < res.PlanSec {
-			res.PlanSec = sec
-		}
-		planOut = capture(m, stop)
-
-		m = cpu.New()
-		m.Reset(p)
-		start = time.Now()
-		stop = eng.Run(m, &plan, DefaultMaxSteps)
+		stop = eng.Run(m, DefaultMaxSteps)
 		sec = time.Since(start).Seconds()
 		if stop.Reason != cpu.StopHalt {
 			return nil, fmt.Errorf("%s: compiled run ended with %v", p.Name, stop)
@@ -117,13 +100,10 @@ func StepThroughput(workload string, scale float64, reps int) (*StepResult, erro
 		}
 		compOut = capture(m, stop)
 	}
-	res.Steps = planOut.steps
-	res.Identical = runOut == planOut && compOut == planOut
-	if res.PlanSec > 0 {
-		res.Speedup = res.RunSec / res.PlanSec
-	}
+	res.Steps = runOut.steps
+	res.Identical = runOut == compOut
 	if res.CompileSec > 0 {
-		res.CompileSpeedup = res.PlanSec / res.CompileSec
+		res.Speedup = res.RunSec / res.CompileSec
 	}
 	return res, nil
 }
@@ -140,11 +120,9 @@ func FormatStep(r *StepResult) string {
 		"Interpreter step throughput — %s (%d guest instrs, best of %d)\n"+
 			"%-12s %10.4fs %8.1f Minstr/s\n"+
 			"%-12s %10.4fs %8.1f Minstr/s\n"+
-			"%-12s %10.4fs %8.1f Minstr/s\n"+
-			"speedup: %.2fx (plan/baseline), %.2fx (compiled/plan), identical: %v\n",
+			"speedup: %.2fx (compiled/step), identical: %v\n",
 		r.Workload, r.Steps, r.Reps,
-		"baseline", r.RunSec, mips(r.RunSec),
-		"predecoded", r.PlanSec, mips(r.PlanSec),
+		"step", r.RunSec, mips(r.RunSec),
 		"compiled", r.CompileSec, mips(r.CompileSec),
-		r.Speedup, r.CompileSpeedup, r.Identical)
+		r.Speedup, r.Identical)
 }

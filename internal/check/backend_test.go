@@ -19,13 +19,13 @@ type backendOutcome struct {
 }
 
 // TestBackendDifferential is the backend property test: random structured
-// programs run under the step interpreter, the predecoded plan and the
-// block-compiled backend must produce identical cpu.State (registers,
-// flags, IP, step/cycle/branch/check counters), stop and output bytes —
-// for every technique × policy. The step interpreter is the ground truth;
-// the plan and compiled backends must be pure performance transforms.
+// programs run under the step interpreter and the block-compiled backend
+// must produce identical cpu.State (registers, flags, IP,
+// step/cycle/branch/check counters), stop and output bytes — for every
+// technique × policy. The step interpreter is the ground truth; the
+// compiled backend must be a pure performance transform.
 func TestBackendDifferential(t *testing.T) {
-	backends := []comp.Backend{comp.BackendStep, comp.BackendPlan, comp.BackendCompile}
+	backends := []comp.Backend{comp.BackendStep, comp.BackendCompile}
 	const maxSteps = 200_000_000
 	for i := 0; i < 8; i++ {
 		prof := randomProfile(int64(3000 + i*23))
@@ -78,7 +78,7 @@ func TestBackendDifferential(t *testing.T) {
 // every backend. One warm translator per backend runs the same fault
 // sequence, so chain-patching state evolves in lockstep too.
 func TestBackendDifferentialUnderFaults(t *testing.T) {
-	backends := []comp.Backend{comp.BackendStep, comp.BackendPlan, comp.BackendCompile}
+	backends := []comp.Backend{comp.BackendStep, comp.BackendCompile}
 	const maxSteps = 100_000_000
 	for i := 0; i < 3; i++ {
 		prof := randomProfile(int64(5000 + i*31))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -144,14 +145,17 @@ func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 
 // RecordStatic performs the clean reference run for native (no translator)
 // execution of p, capturing a checkpoint every interval steps. Native runs
-// share no translator state, so recording never truncates.
+// share no translator state, so recording never truncates. One adaptive
+// compiled engine drives every interval chunk, so blocks promoted in one
+// chunk run compiled in the next; the engine is exact at any step
+// boundary, so the log matches a step-driven recording byte for byte.
 func RecordStatic(p *isa.Program, interval, maxSteps uint64) (*Log, error) {
 	if interval == 0 {
 		return nil, fmt.Errorf("ckpt: interval must be positive")
 	}
 	m := cpu.New()
 	m.Reset(p)
-	plan := cpu.NewPlan(p.Code, nil)
+	eng := comp.NewEngine(p.Code, m.Costs, 0)
 	l := &Log{Interval: interval}
 	l.capture(m, dbt.Stats{})
 	for {
@@ -159,7 +163,7 @@ func RecordStatic(p *isa.Program, interval, maxSteps uint64) (*Log, error) {
 		if target > maxSteps {
 			target = maxSteps
 		}
-		stop := m.RunPlan(&plan, target)
+		stop := eng.Run(m, target)
 		if stop.Reason != cpu.StopOutOfSteps || target >= maxSteps {
 			l.finish(m, stop, dbt.Stats{}, 0)
 			return l, nil

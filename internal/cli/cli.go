@@ -45,8 +45,8 @@ type App struct {
 	CPUProfile string
 	MemProfile string
 	// Backend is the parsed -backend value; Open validates it. Empty is
-	// "auto" (the block-compiled engine — every backend is byte-identical,
-	// only wall-clock changes).
+	// "auto" (the block-compiled engine — byte-identical to the step
+	// interpreter, only wall-clock changes).
 	Backend string
 	// Progress is the parsed -progress interval. Non-zero starts a stderr
 	// ticker printing live campaign progress (done/total, throughput, ETA,
@@ -90,7 +90,7 @@ func (a *App) BindFlags(fs *flag.FlagSet) {
 		a.Backend = comp.BackendAuto.String()
 	}
 	fs.StringVar(&a.Backend, "backend", a.Backend,
-		"execution backend: auto, step, plan or compile (all byte-identical)")
+		"execution backend: auto, step or compile (all byte-identical)")
 	fs.DurationVar(&a.Progress, "progress", a.Progress,
 		"print live campaign progress to stderr every `interval` (0 = off)")
 	fs.StringVar(&a.Flight, "flight", a.Flight,

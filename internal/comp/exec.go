@@ -5,9 +5,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Deferred flag sources, mirroring cpu.RunPlan's deferral scheme: flag
-// writes record (operation, operands) and materialize only at a read or a
-// tier boundary.
+// Deferred flag sources: most ALU flag results are overwritten before any
+// instruction reads them, so flag writes record (operation, operands) and
+// materialize only at a read or a tier boundary.
 const (
 	fLive uint8 = iota
 	fAdd

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/asm"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/errmodel"
@@ -117,12 +118,11 @@ type NativeResult struct {
 }
 
 // RunNative executes a program directly on the simulated machine (through
-// the predecoded plan — native runs are always fault-free).
+// an adaptive compiled engine — native runs are always fault-free).
 func RunNative(p *isa.Program, maxSteps uint64) *NativeResult {
 	m := cpu.New()
 	m.Reset(p)
-	plan := cpu.NewPlan(p.Code, m.Costs)
-	stop := m.RunPlan(&plan, maxSteps)
+	stop := comp.NewEngine(p.Code, m.Costs, 0).Run(m, maxSteps)
 	return &NativeResult{
 		Stop:   stop,
 		Cycles: m.Cycles,

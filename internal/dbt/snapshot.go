@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/comp"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/live"
 )
@@ -35,13 +34,8 @@ type Snapshot struct {
 	pendingCycles uint64
 	stats         Stats
 
-	// plan is the fully decoded execution plan over the snapshot cache,
-	// built once at capture and shared copy-on-write by every clone; it is
-	// never mutated through the snapshot itself.
-	plan cpu.Plan
-
 	// comp is the frozen block-compiled engine over the snapshot cache
-	// (nil for interpreter backends): every entry point is eagerly
+	// (nil for the step backend): every entry point is eagerly
 	// compiled and chain-resolved at capture, and clones share the
 	// compiled core read-only through per-clone views.
 	comp *comp.Engine
@@ -70,7 +64,6 @@ func (d *DBT) Snapshot() *Snapshot {
 		pendingCycles: d.pendingCycles,
 		stats:         d.stats,
 	}
-	s.plan = cpu.NewPlan(s.cache, d.opts.Costs)
 	if d.comp != nil {
 		// Freeze the compiled core: eagerly compile every entry point the
 		// cache can transfer to, resolve all chain slots, and make the
@@ -127,7 +120,7 @@ func compStartsFor(tlist []*TBlock, cache []isa.Instr) []uint32 {
 func (s *Snapshot) CacheLen() int { return len(s.cache) }
 
 // CompStats returns the compiled-backend work accumulated by the owning
-// translator up to the snapshot freeze (zero for interpreter backends) —
+// translator up to the snapshot freeze (zero for the step backend) —
 // the baseline campaigns add per-sample deltas to.
 func (s *Snapshot) CompStats() comp.Stats { return s.compStats }
 
@@ -172,8 +165,7 @@ func (s *Snapshot) NewDBT() *DBT {
 // the snapshot state in place, leaving it equal to a fresh NewDBT without
 // reallocating: the cache, translation list and stubs are copied into d's
 // existing slices, the private block map a translating run materialized is
-// dropped in favour of the shared one, the plan is re-cloned and the
-// compiled view is reset to a fresh view of the frozen core. Campaign
+// dropped in favour of the shared one and the compiled view is reset to a fresh view of the frozen core. Campaign
 // workers reset one clone per sample instead of priming a new one.
 func (s *Snapshot) Reset(d *DBT) {
 	d.cache = append(d.cache[:0], s.cache...)
@@ -183,7 +175,6 @@ func (s *Snapshot) Reset(d *DBT) {
 	d.snapBlocks = s.blocks
 	d.pendingCycles = s.pendingCycles
 	d.stats = s.stats
-	d.plan = s.plan.Clone()
 	if s.comp != nil {
 		s.comp.CloneTo(d.comp)
 		d.comp.Sync(d.cache)

@@ -165,7 +165,7 @@ rare:
 
 // Reset must leave a clone that ran a sample — chain patching, new
 // translations, a disabled compiled view — equal to a fresh NewDBT: same
-// cache, translation list, stubs, stats, block maps and plan, zero
+// cache, translation list, stubs, stats and block maps, zero
 // compiled-backend stats and an enabled view; and it must then run to the
 // same Result.
 func TestCkptResetCloneMatchesFresh(t *testing.T) {

@@ -247,3 +247,26 @@ func TestFrontMergedMetrics(t *testing.T) {
 		t.Errorf("merged session_warm_builds_total = %d, want 2", got)
 	}
 }
+
+// The front refuses an oversized campaign body itself, with a 413 in the
+// shared JSON error shape, instead of buffering it for a replica.
+func TestFrontRejectsOversizedBody(t *testing.T) {
+	rep := newReplica(t)
+	_, ts := newFront(t, []*replica{rep}, Config{})
+	body := `{"workload":"` + strings.Repeat("x", 4<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e session.ErrorJSON
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("error body is not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error == "" {
+		t.Fatalf("status %d %q, want 413", resp.StatusCode, e.Error)
+	}
+	if n := rep.reg.Snapshot().Counters["session_misses_total"]; n != 0 {
+		t.Errorf("oversized body reached the replica: %d session misses", n)
+	}
+}

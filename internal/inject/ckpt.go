@@ -320,7 +320,7 @@ func runStaticCkptSamples(ctx context.Context, p *isa.Program, im *StaticImage, 
 		points[i] = sitePoint(log, faults[i])
 	}
 	order := orderBySite(points)
-	// The program is fixed for native runs, so the image's plan, frozen
+	// The program is fixed for native runs, so the image's frozen
 	// compiled engine and liveness analysis serve every worker read-only
 	// (samples run on per-worker engine views reset between samples).
 	g, se, li := im.g, im.se, im.liveness()

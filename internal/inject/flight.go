@@ -13,9 +13,9 @@ import (
 // hot path: when a sample classifies as anomalous (SDC, hang), it is
 // deterministically re-run from the same planted fault with a branch hook
 // filling a fixed-size event ring, and the ring's tail is dumped as one
-// JSONL line. The hook forces the interpreter path (the compiled backend
-// self-disables and the plan loop leaves its hot span when a hook is
-// set), but every backend is architecturally identical, so the re-run
+// JSONL line. The hook forces the step interpreter (the compiled backend
+// runs Machine.Run when a hook is set), but every backend is
+// architecturally identical, so the re-run
 // reproduces the campaign's classification — a Replayed/Outcome mismatch
 // in a dump is itself a finding.
 

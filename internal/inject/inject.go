@@ -201,8 +201,8 @@ type Options struct {
 	// checkpoint before its fault site, executing only the tail. Reports
 	// are byte-identical to full replay for every Workers value.
 	CkptInterval int64
-	// Backend selects the execution engine (step interpreter, predecoded
-	// plan, or block-compiled with direct chaining). The zero value
+	// Backend selects the execution engine (the step interpreter or the
+	// block-compiled engine with direct chaining). The zero value
 	// BackendAuto resolves to the compiled backend. Classified reports are
 	// byte-identical across backends; only wall-clock changes.
 	Backend comp.Backend

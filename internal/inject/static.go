@@ -18,16 +18,15 @@ import (
 )
 
 // staticExec is the execution surface for native (no translator) sample
-// runs: the guest code, its shared predecoded plan, and — for the compiled
-// backend — a frozen block-compiled engine whose entry points are the
-// program's own CFG block starts. The plan and the frozen core are shared
-// read-only by every worker; each sample runs on a fresh per-view clone so
-// its chain-hit counters merge worker-invariantly.
+// runs: the guest code and — for the compiled backend — a frozen
+// block-compiled engine whose entry points are the program's own CFG
+// block starts. The frozen core is shared read-only by every worker; each
+// sample runs on a fresh per-view clone so its chain-hit counters merge
+// worker-invariantly.
 type staticExec struct {
 	backend comp.Backend
 	code    []isa.Instr
-	plan    cpu.Plan
-	eng     *comp.Engine // frozen; nil for interpreter backends
+	eng     *comp.Engine // frozen; nil for the step backend
 }
 
 // newStaticExec builds the execution surface, freezing the compiled
@@ -35,7 +34,7 @@ type staticExec struct {
 // Blocks left out run on the interpreter tier, which comp.Engine.Run
 // keeps exact, so the reach set moves only wall-clock and compile work.
 func newStaticExec(p *isa.Program, g *cfg.Graph, backend comp.Backend, reached []bool) *staticExec {
-	se := &staticExec{backend: backend, code: p.Code, plan: cpu.NewPlan(p.Code, nil)}
+	se := &staticExec{backend: backend, code: p.Code}
 	if backend.Compiled() {
 		se.eng = comp.NewEngine(p.Code, nil, 0)
 		var starts []uint32
@@ -59,7 +58,7 @@ func (se *staticExec) baseline() comp.Stats {
 }
 
 // resetView points v at a fresh view of the frozen engine, allocating it
-// on first use; it returns nil for interpreter backends.
+// on first use; it returns nil for the step backend.
 func (se *staticExec) resetView(v *comp.Engine) *comp.Engine {
 	if se.eng == nil {
 		return nil
@@ -73,14 +72,10 @@ func (se *staticExec) resetView(v *comp.Engine) *comp.Engine {
 
 // run advances m on the selected backend until a stop or the step budget.
 func (se *staticExec) run(v *comp.Engine, m *cpu.Machine, maxSteps uint64) cpu.Stop {
-	switch se.backend {
-	case comp.BackendStep:
+	if v == nil {
 		return m.Run(se.code, maxSteps)
-	case comp.BackendPlan:
-		return m.RunPlan(&se.plan, maxSteps)
-	default: // BackendAuto, BackendCompile
-		return v.Run(m, &se.plan, maxSteps)
 	}
+	return v.Run(m, maxSteps)
 }
 
 // stats returns the view's accumulated per-sample work.

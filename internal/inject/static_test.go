@@ -171,13 +171,13 @@ func TestStaticImageOption(t *testing.T) {
 	}
 
 	other := mustAssemble(t, staticProg)
-	short, plan := cfg, cfg
+	short, step := cfg, cfg
 	short.MaxSteps = 1000
-	plan.Backend = comp.BackendPlan
+	step.Backend = comp.BackendStep
 	for what, run := range map[string]func() error{
 		"other program": func() error { _, err := Execute(ctx, other, cfg, AsStatic("native"), WithStaticImage(im)); return err },
 		"other bound":   func() error { _, err := Execute(ctx, p, short, AsStatic("native"), WithStaticImage(im)); return err },
-		"other backend": func() error { _, err := Execute(ctx, p, plan, AsStatic("native"), WithStaticImage(im)); return err },
+		"other backend": func() error { _, err := Execute(ctx, p, step, AsStatic("native"), WithStaticImage(im)); return err },
 		"translated":    func() error { _, err := Execute(ctx, p, cfg, WithStaticImage(im)); return err },
 	} {
 		if run() == nil {

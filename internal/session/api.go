@@ -6,8 +6,11 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/obs"
@@ -100,6 +103,35 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(ErrorJSON{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxRequestBytes caps a campaign request body. A real request is a few
+// hundred bytes of JSON; the cap only keeps a client from making a server
+// buffer an unbounded body.
+const maxRequestBytes = 1 << 20
+
+// ReadRequest reads req's campaign body, at most maxRequestBytes, and
+// decodes it into body, rejecting unknown fields. It returns the raw bytes
+// (the front proxies them unchanged). On failure it has already answered
+// w — 413 for an oversized body, 400 otherwise — and returns ok=false.
+func ReadRequest(w http.ResponseWriter, req *http.Request, body *Request) (raw []byte, ok bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxRequestBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+		return nil, false
+	}
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(body); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+		return nil, false
+	}
+	return raw, true
 }
 
 // Route is one extra handler mounted on the serve mux by

@@ -335,10 +335,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	}
 	defer release()
 	var body Request
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+	if _, ok := ReadRequest(w, req, &body); !ok {
 		return
 	}
 	if body.Workload == "" {

@@ -386,3 +386,30 @@ func TestBatchStopsAtFirstError(t *testing.T) {
 		t.Fatalf("after aborted client: status %d, %d records: %s", status, len(recs), raw)
 	}
 }
+
+// A campaign body over maxRequestBytes is refused with the shared JSON
+// error and a 413 before it is decoded; a body exactly at the cap is read
+// and validated as usual.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	post := func(body string) (int, ErrorJSON) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e ErrorJSON
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("status %d: error body is not JSON: %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, e
+	}
+	head := `{"workload":""}`
+	if status, e := post(head + strings.Repeat(" ", maxRequestBytes+1-len(head))); status != http.StatusRequestEntityTooLarge || e.Error == "" {
+		t.Errorf("oversized body: status %d %q, want 413", status, e.Error)
+	}
+	if status, e := post(head + strings.Repeat(" ", maxRequestBytes-len(head))); status != http.StatusBadRequest || !strings.Contains(e.Error, "workload required") {
+		t.Errorf("body at the cap: status %d %q, want 400 workload required", status, e.Error)
+	}
+}

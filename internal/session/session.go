@@ -528,8 +528,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		}
 		m := cpu.New()
 		m.Reset(s.prog)
-		plan := cpu.NewPlan(s.prog.Code, nil)
-		stop := m.RunPlan(&plan, r.cfg.MaxSteps)
+		stop := comp.NewEngine(s.prog.Code, m.Costs, 0).Run(m, r.cfg.MaxSteps)
 		if stop.Reason != cpu.StopHalt {
 			return nil, fmt.Errorf("%s: clean run ended with %v", s.prog.Name, stop)
 		}

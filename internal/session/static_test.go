@@ -74,7 +74,7 @@ func TestStaticImageSharedByConcurrentCampaigns(t *testing.T) {
 func TestStaticImagePerBackend(t *testing.T) {
 	s := mustSession(t, NewRegistry(Config{}), testKey("CFCSS", -1))
 	spec := Spec{Samples: testSamples, Seed: 5}
-	for _, b := range []comp.Backend{comp.BackendAuto, comp.BackendStep, comp.BackendPlan, comp.BackendCompile} {
+	for _, b := range []comp.Backend{comp.BackendAuto, comp.BackendStep, comp.BackendCompile} {
 		opts := core.Options{Workers: 2, Backend: b}
 		rep, err := s.Run(context.Background(), spec, opts)
 		if err != nil {
@@ -82,13 +82,13 @@ func TestStaticImagePerBackend(t *testing.T) {
 		}
 		sameReport(t, b.String(), rep, coldStatic(t, s, spec, opts))
 	}
-	if len(s.images) != 3 {
-		t.Fatalf("%d static images, want one each for step, plan and compile", len(s.images))
+	if len(s.images) != 2 {
+		t.Fatalf("%d static images, want one each for step and compile", len(s.images))
 	}
 	if s.staticImage(comp.BackendAuto) != s.staticImage(comp.BackendCompile) {
 		t.Error("auto and compile campaigns use different images")
 	}
-	if s.staticImage(comp.BackendStep) == s.staticImage(comp.BackendPlan) {
-		t.Error("step and plan campaigns share an image")
+	if s.staticImage(comp.BackendStep) == s.staticImage(comp.BackendCompile) {
+		t.Error("step and compile campaigns share an image")
 	}
 }
