@@ -12,44 +12,52 @@
 //
 // -workers fans the per-benchmark runs (and campaign samples) across a
 // goroutine pool; results are identical for every worker count.
+//
+// -record writes the benchmark records CI gates on instead of figures:
+//
+//	-record all              every record below
+//	-record inject           BENCH_inject.json: campaign at 1 vs 4 workers, deterministic
+//	-record ckpt             BENCH_ckpt.json: checkpoint vs full-replay engine
+//	-record scale            BENCH_scale.json: checkpoint engine over 1..min(8,NumCPU) workers
+//	-record serve            BENCH_serve.json: cold vs warm session over loopback HTTP
+//	-record artifact         BENCH_artifact.json: cold build vs artifact-store restore
+//	-record step             BENCH_step.json: compiled backend vs step interpreter
+//	-record graph            BENCH_graph.json: coverage matrix cold vs hot cell cache
+//	-record shard            BENCH_shard.json: one replica vs three-way fan-out
+//
+// Names combine with commas (-record ckpt,serve). Each record has a fixed
+// configuration, is measured three times and is written to the working
+// directory: the first trial whose identity or accounting fields fail, or
+// else the trial with the median speedup, with speedup_min/speedup_max
+// spanning the trials.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
-		scale    = flag.Float64("scale", 1.0, "workload dynamic scale")
-		stepOut  = flag.String("step-json", "", "run the step-throughput microbench (step interpreter vs compiled) and write the record to this file")
-		graphOut = flag.String("graph-json", "", "run the full coverage matrix cold then hot against a graph cell cache and write the record to this file")
+		fig    = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
+		scale  = flag.Float64("scale", 1.0, "workload dynamic scale")
+		record = flag.String("record", "", "write benchmark records instead of figures: all, or a comma-separated list of "+
+			"inject|ckpt|scale|serve|artifact|step|graph|shard (each writes BENCH_<name>.json here)")
 	)
 	app := cli.App{CkptInterval: -1}
 	app.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if *record != "" {
+		fatalIf(bench.WriteRecords(context.Background(), ".", *record, os.Stdout))
+		return
+	}
 	fatalIf(app.Open())
-	if *stepOut != "" {
-		fatalIf(writeStepJSON(*stepOut, *scale))
-		fatalIf(app.Close())
-		return
-	}
-	if *graphOut != "" {
-		fatalIf(writeGraphJSON(*graphOut, minF(*scale, 0.05), app.Workers, app.CkptInterval))
-		fatalIf(app.Close())
-		return
-	}
 	reg := app.Registry()
 	workers, ckptIv := &app.Workers, &app.CkptInterval
 
@@ -110,130 +118,6 @@ func main() {
 	}
 	run(*fig)
 	fatalIf(app.Close())
-}
-
-// stepRecord is the -step-json schema CI gates on: the block-compiled
-// backend must beat the per-step interpreter by the committed factor with
-// a byte-identical architectural outcome.
-type stepRecord struct {
-	Workload   string  `json:"workload"`
-	Scale      float64 `json:"scale"`
-	Steps      uint64  `json:"steps"`
-	Reps       int     `json:"reps"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	RunSec     float64 `json:"run_sec"`
-	CompileSec float64 `json:"compile_sec"`
-	Speedup    float64 `json:"speedup"`
-	Identical  bool    `json:"identical"`
-}
-
-func writeStepJSON(path string, scale float64) error {
-	r, err := bench.StepThroughput("164.gzip", scale, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatStep(r))
-	return writeJSON(path, stepRecord{
-		Workload: r.Workload, Scale: scale, Steps: r.Steps, Reps: r.Reps,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		RunSec: r.RunSec, CompileSec: r.CompileSec,
-		Speedup: r.Speedup, Identical: r.Identical,
-	})
-}
-
-// graphRecord is the BENCH_graph.json schema: the full coverage matrix
-// run twice against one on-disk graph cell cache — the cold pass executes
-// and stores every cell, the hot pass (a fresh registry and a fresh cache
-// handle over the same directory, so hits come off disk, not memory)
-// loads them — with the byte-identity verdict across the two matrices.
-type graphRecord struct {
-	Workloads    []string `json:"workloads"`
-	Techniques   []string `json:"techniques"`
-	Scale        float64  `json:"scale"`
-	Samples      int      `json:"samples"`
-	Seed         int64    `json:"seed"`
-	CkptInterval int64    `json:"ckpt_interval"`
-	GOMAXPROCS   int      `json:"gomaxprocs"`
-	NumCPU       int      `json:"num_cpu"`
-	Cells        int      `json:"cells"`
-	ColdSec      float64  `json:"cold_sec"`
-	HotSec       float64  `json:"hot_sec"`
-	// Speedup is cold wall-clock over hot wall-clock: what a content-keyed
-	// re-run saves when nothing invalidated. CI gates on >= 10.
-	Speedup float64 `json:"speedup"`
-	// Hot-pass cache accounting: every cell must hit, none may execute.
-	HotHits   uint64 `json:"hot_hits"`
-	HotMisses uint64 `json:"hot_misses"`
-	// Identical reports the cold and hot formatted matrices matched byte
-	// for byte.
-	Identical bool `json:"identical"`
-}
-
-// writeGraphJSON times the cold and hot coverage-matrix passes over a
-// temporary cache directory.
-func writeGraphJSON(path string, scale float64, workers int, ckptInterval int64) error {
-	dir, err := os.MkdirTemp("", "cfc-graph-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	const samples, seed = 200, 1
-	pass := func() (string, uint64, uint64, time.Duration, error) {
-		m := obs.NewRegistry()
-		cfg := bench.CoverageConfig{
-			Scale: scale, Samples: samples, Seed: seed,
-			Graph: graph.New(dir),
-		}
-		cfg.Metrics, cfg.Workers, cfg.CkptInterval = m, workers, ckptInterval
-		start := time.Now()
-		reports, err := bench.CoverageMatrix(context.Background(), cfg)
-		if err != nil {
-			return "", 0, 0, 0, err
-		}
-		d := time.Since(start)
-		snap := m.Snapshot()
-		return bench.FormatCoverageMatrix(reports),
-			snap.Counters["graph_cache_hits_total"], snap.Counters["graph_cache_misses_total"], d, nil
-	}
-	coldText, _, _, coldDur, err := pass()
-	if err != nil {
-		return err
-	}
-	hotText, hotHits, hotMisses, hotDur, err := pass()
-	if err != nil {
-		return err
-	}
-	fmt.Print(hotText)
-	rec := graphRecord{
-		Workloads:    bench.DefaultCoverageWorkloads,
-		Techniques:   bench.CoverageTechniques,
-		Scale:        scale,
-		Samples:      samples,
-		Seed:         seed,
-		CkptInterval: ckptInterval,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		Cells:        len(bench.DefaultCoverageWorkloads) * len(bench.CoverageTechniques),
-		ColdSec:      coldDur.Seconds(),
-		HotSec:       hotDur.Seconds(),
-		HotHits:      hotHits,
-		HotMisses:    hotMisses,
-		Identical:    coldText == hotText,
-	}
-	if hotDur > 0 {
-		rec.Speedup = coldDur.Seconds() / hotDur.Seconds()
-	}
-	return writeJSON(path, rec)
-}
-
-func writeJSON(path string, rec any) error {
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // minF caps the campaign scale: fault injection runs the program once per

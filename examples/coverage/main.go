@@ -35,7 +35,7 @@ func main() {
 
 	// Translator-hosted techniques.
 	for _, tech := range []string{"none", "ECF", "EdgCF", "RCF"} {
-		rep, err := core.Inject(p, core.Config{Technique: tech, Style: "CMOVcc"}, samples, seed, 0)
+		rep, err := core.InjectCtx(context.Background(), p, core.Config{Technique: tech, Style: "CMOVcc"}, samples, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

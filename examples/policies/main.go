@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := core.Inject(p, cfg, samples, 13, 0)
+		rep, err := core.InjectCtx(context.Background(), p, cfg, samples, 13)
 		if err != nil {
 			log.Fatal(err)
 		}

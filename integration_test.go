@@ -6,6 +6,7 @@ package repro_test
 // inject a fault, and confirm detection — all through the public facade.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -93,7 +94,7 @@ func TestEndToEndBinaryLifecycle(t *testing.T) {
 	}
 
 	// Injection campaign under full protection: no silent corruption.
-	rep, err := core.Inject(loaded, core.Config{Technique: "RCF", Style: "CMOVcc"}, 250, 99, 0)
+	rep, err := core.InjectCtx(context.Background(), loaded, core.Config{Technique: "RCF", Style: "CMOVcc"}, 250, 99)
 	if err != nil {
 		t.Fatal(err)
 	}

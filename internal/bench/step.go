@@ -13,31 +13,32 @@ import (
 // StepResult reports the block-compiled backend against the per-step
 // reference interpreter (Machine.Run) on one workload: best-of-reps
 // wall-clock for each, the speedup, and an identity verdict over the full
-// architectural outcome.
+// architectural outcome. It is the BENCH_step.json record.
 type StepResult struct {
-	Workload   string
-	Steps      uint64 // guest instructions retired per run
-	Reps       int
-	RunSec     float64 // step interpreter, best rep
-	CompileSec float64 // block-compiled backend, best rep
-	Speedup    float64 // RunSec / CompileSec
-	Identical  bool    // counters, registers, flags and output all match
+	header
+	Scale      float64 `json:"scale"`
+	Steps      uint64  `json:"steps"` // guest instructions retired per run
+	Reps       int     `json:"reps"`
+	RunSec     float64 `json:"run_sec"`     // step interpreter, best rep
+	CompileSec float64 `json:"compile_sec"` // block-compiled backend, best rep
+	Speedup    float64 `json:"speedup"`     // RunSec / CompileSec
+	Identical  bool    `json:"identical"`   // counters, registers, flags and output all match
 }
+
+func (r *StepResult) headline() float64 { return r.Speedup }
+func (r *StepResult) correct() bool     { return r.Identical }
 
 // StepThroughput measures raw step throughput of the two execution
 // backends: the per-step interpreter (the semantic oracle) and the
 // block-compiled engine with direct chaining. Both run the same program to
-// completion reps times; the best (minimum) wall-clock per engine is kept,
+// completion three times; the best (minimum) wall-clock per engine is kept,
 // the usual microbenchmark discipline for spotting the noise floor. The
 // compiled engine is built once before the reps — hot blocks promoted on
 // rep one serve every later rep, exactly how a warm campaign reuses a
 // frozen snapshot core. The identity verdict compares final registers,
 // flags, IP, step/cycle/branch counters and output — the compiled backend
 // must be a pure performance transform.
-func StepThroughput(workload string, scale float64, reps int) (*StepResult, error) {
-	if reps <= 0 {
-		reps = 3
-	}
+func StepThroughput(workload string, scale float64) (*StepResult, error) {
 	prof, err := workloads.ByName(workload)
 	if err != nil {
 		return nil, err
@@ -70,10 +71,10 @@ func StepThroughput(workload string, scale float64, reps int) (*StepResult, erro
 		return o
 	}
 
-	res := &StepResult{Workload: p.Name, Reps: reps}
+	res := &StepResult{header: header{Workload: p.Name}, Scale: scale, Reps: 3}
 	var runOut, compOut outcome
 	eng := comp.NewEngine(p.Code, nil, 0)
-	for rep := 0; rep < reps; rep++ {
+	for rep := 0; rep < res.Reps; rep++ {
 		m := cpu.New()
 		m.Reset(p)
 		start := time.Now()
@@ -106,23 +107,4 @@ func StepThroughput(workload string, scale float64, reps int) (*StepResult, erro
 		res.Speedup = res.RunSec / res.CompileSec
 	}
 	return res, nil
-}
-
-// FormatStep renders the step-throughput comparison.
-func FormatStep(r *StepResult) string {
-	mips := func(sec float64) float64 {
-		if sec <= 0 {
-			return 0
-		}
-		return float64(r.Steps) / sec / 1e6
-	}
-	return fmt.Sprintf(
-		"Interpreter step throughput — %s (%d guest instrs, best of %d)\n"+
-			"%-12s %10.4fs %8.1f Minstr/s\n"+
-			"%-12s %10.4fs %8.1f Minstr/s\n"+
-			"speedup: %.2fx (compiled/step), identical: %v\n",
-		r.Workload, r.Steps, r.Reps,
-		"step", r.RunSec, mips(r.RunSec),
-		"compiled", r.CompileSec, mips(r.CompileSec),
-		r.Speedup, r.Identical)
 }

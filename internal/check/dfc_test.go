@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpu"
@@ -152,7 +153,7 @@ func TestDFCRegFaultCampaign(t *testing.T) {
 	p := mustAssemble(t, transparencyPrograms["calls"])
 	run := func(body dbt.BodyTransform) *inject.Report {
 		tech, _ := New("RCF", dbt.UpdateCmov)
-		rep, err := inject.Campaign(p, inject.Config{
+		rep, err := inject.Execute(context.Background(), p, inject.Config{
 			Technique: tech, Body: body, RegFaults: true, Samples: 300, Seed: 3,
 		})
 		if err != nil {

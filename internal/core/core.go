@@ -154,16 +154,6 @@ func AnalyzeErrors(p *isa.Program, maxSteps uint64) (*errmodel.Table, error) {
 	return errmodel.Analyze(p, maxSteps)
 }
 
-// Inject runs a randomized single-fault campaign under the DBT. workers
-// shards the samples across goroutines (0 means GOMAXPROCS, overriding
-// c.Options.Workers); the report is bit-identical for every worker count.
-// It is InjectCtx with a background context — kept one release for
-// compatibility; new code calls InjectCtx.
-func Inject(p *isa.Program, c Config, samples int, seed int64, workers int) (*inject.Report, error) {
-	c.Workers = workers
-	return InjectCtx(context.Background(), p, c, samples, seed)
-}
-
 // InjectCtx runs a randomized single-fault campaign under the DBT,
 // honoring ctx for cancellation. Execution knobs (Workers, CkptInterval,
 // Trace, Metrics) come from c.Options; the report is bit-identical for

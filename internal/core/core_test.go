@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpu"
@@ -85,14 +86,18 @@ func TestAnalyzeAndInjectFacade(t *testing.T) {
 	if tab.Total == 0 {
 		t.Error("no fault sites")
 	}
-	rep, err := Inject(p, Config{Technique: "EdgCF", Style: "CMOVcc"}, 40, 1, 2)
+	cfg := Config{Technique: "EdgCF", Style: "CMOVcc"}
+	cfg.Workers = 2
+	rep, err := InjectCtx(context.Background(), p, cfg, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Totals.Total == 0 {
 		t.Error("no faults fired")
 	}
-	if _, err := Inject(p, Config{Technique: "zzz"}, 1, 1, 1); err == nil {
+	bad := Config{Technique: "zzz"}
+	bad.Workers = 1
+	if _, err := InjectCtx(context.Background(), p, bad, 1, 1); err == nil {
 		t.Error("bad config should fail")
 	}
 }

@@ -155,9 +155,12 @@ func (f *Front) runShard(req *http.Request, body *session.Request, shard session
 		return rec, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	out, err := io.ReadAll(io.LimitReader(resp.Body, maxReplicaBytes+1))
 	if err != nil {
 		return rec, err
+	}
+	if len(out) > maxReplicaBytes {
+		return rec, fmt.Errorf("replica response exceeds %d bytes", maxReplicaBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e session.ErrorJSON

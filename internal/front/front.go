@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,6 +14,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/session"
 )
+
+// maxReplicaBytes caps what the front reads from one replica response it
+// consumes itself: a shard's single-campaign stream or a /v1/metrics
+// snapshot. Real ones are tens of kilobytes.
+const maxReplicaBytes = 8 << 20
 
 // Config parameterizes a Front.
 type Config struct {
@@ -278,7 +284,10 @@ func (f *Front) mergedSnapshot(ctx context.Context) *obs.Snapshot {
 			}
 			defer resp.Body.Close()
 			var s obs.Snapshot
-			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&s) == nil {
+			// An over-cap snapshot truncates, fails to decode and is
+			// left out of the merge.
+			body := io.LimitReader(resp.Body, maxReplicaBytes)
+			if resp.StatusCode == http.StatusOK && json.NewDecoder(body).Decode(&s) == nil {
 				snaps[i] = &s
 			}
 		}(i, r)

@@ -2,6 +2,7 @@ package front
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -268,5 +269,69 @@ func TestFrontRejectsOversizedBody(t *testing.T) {
 	}
 	if n := rep.reg.Snapshot().Counters["session_misses_total"]; n != 0 {
 		t.Errorf("oversized body reached the replica: %d session misses", n)
+	}
+}
+
+// A replica that streams an endless record fails its shard with an
+// error once the front has read its cap, instead of making the front
+// buffer the stream, and an over-cap /v1/metrics snapshot is left out
+// of the merge.
+func TestFrontBoundsReplicaResponses(t *testing.T) {
+	pad := strings.Repeat("x", maxReplicaBytes)
+	const streamed = 4 * maxReplicaBytes
+	written := make(chan int, 2) // one per shard
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			json.NewEncoder(w).Encode(session.HealthJSON{Status: "ok"})
+		case "/v1/campaigns":
+			n, _ := io.WriteString(w, `{"index":0,"report":"`)
+			for n < streamed {
+				k, err := io.WriteString(w, pad[:1<<20])
+				n += k
+				if err != nil {
+					break
+				}
+			}
+			written <- n
+		case "/v1/metrics":
+			io.WriteString(w, `{"counters":{"`+pad+`":1}}`)
+		}
+	}))
+	t.Cleanup(bad.Close)
+	good := newReplica(t)
+	f := New(Config{Replicas: []string{bad.URL}})
+	f.health.poll()
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, out := postRaw(t, ts.URL+"/v1/campaigns?fanout=2", batchReq("RCF", session.SpecJSON{Seed: 1, Samples: 4}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fanout POST: %d: %s", resp.StatusCode, out)
+	}
+	var rec session.RecordJSON
+	if err := json.Unmarshal(out, &rec); err != nil {
+		t.Fatalf("fanout stream: %v\n%.200s", err, out)
+	}
+	if !strings.Contains(rec.Error, "exceeds") {
+		t.Errorf("over-cap shard record: error %q, want the size cap", rec.Error)
+	}
+	if n := <-written; n >= streamed {
+		t.Errorf("the front read the whole %d-byte stream", n)
+	}
+
+	// The merge keeps the well-behaved replica's snapshot and drops the
+	// over-cap one.
+	if _, out := postRaw(t, good.ts.URL+"/v1/campaigns", batchReq("RCF", session.SpecJSON{Seed: 1, Samples: 2})); len(out) == 0 {
+		t.Fatal("empty campaign stream from the good replica")
+	}
+	f2 := New(Config{Replicas: []string{bad.URL, good.ts.URL}})
+	f2.health.poll()
+	snap := f2.mergedSnapshot(context.Background())
+	if snap.Counters["session_warm_builds_total"] != 1 {
+		t.Errorf("merged snapshot lost the good replica: %v", snap.Counters["session_warm_builds_total"])
+	}
+	if _, ok := snap.Counters[pad]; ok {
+		t.Error("over-cap snapshot was merged")
 	}
 }

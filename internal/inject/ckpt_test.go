@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestCkptCampaignMatchesReplay(t *testing.T) {
 				MaxSteps:    2_000_000,
 				Options:     Options{Workers: 1},
 			}
-			replay, err := Campaign(p, base)
+			replay, err := Execute(context.Background(), p, base)
 			if err != nil {
 				t.Fatalf("%s/reg=%v replay: %v", name, regFaults, err)
 			}
@@ -47,7 +48,7 @@ func TestCkptCampaignMatchesReplay(t *testing.T) {
 					cfg := base
 					cfg.Workers = w
 					cfg.CkptInterval = iv
-					rep, err := Campaign(p, cfg)
+					rep, err := Execute(context.Background(), p, cfg)
 					if err != nil {
 						t.Fatalf("%s/reg=%v ckpt(iv=%d) workers=%d: %v", name, regFaults, iv, w, err)
 					}
@@ -74,7 +75,7 @@ func TestStaticCkptCampaignMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Samples: 200, Seed: 42, KeepRecords: true, Options: Options{Workers: 1}}
-	replay, err := StaticCampaign(ip, "CFCSS", base)
+	replay, err := Execute(context.Background(), ip, base, AsStatic("CFCSS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestStaticCkptCampaignMatchesReplay(t *testing.T) {
 			cfg := base
 			cfg.Workers = w
 			cfg.CkptInterval = iv
-			rep, err := StaticCampaign(ip, "CFCSS", cfg)
+			rep, err := Execute(context.Background(), ip, cfg, AsStatic("CFCSS"))
 			if err != nil {
 				t.Fatalf("ckpt(iv=%d) workers=%d: %v", iv, w, err)
 			}
@@ -110,14 +111,14 @@ func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 		MaxSteps:    2_000_000,
 		Options:     Options{Workers: 1, CkptInterval: -1},
 	}
-	serial, err := Campaign(p, base)
+	serial, err := Execute(context.Background(), p, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
 		cfg := base
 		cfg.Workers = w
-		rep, err := Campaign(p, cfg)
+		rep, err := Execute(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -65,9 +65,6 @@ func WithStaticImage(im *StaticImage) ExecOption {
 // native execution. Classified results are a pure function of (program,
 // cfg minus Workers) — worker count, engine and pre-built state only
 // change where the time goes.
-//
-// Run, RunWarm, RunStatic, RunStaticWarm, Campaign and StaticCampaign
-// are all thin compatibility wrappers over this entry point.
 func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption) (*Report, error) {
 	var plan execPlan
 	for _, o := range opts {

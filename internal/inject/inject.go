@@ -393,29 +393,6 @@ func Warm(p *isa.Program, cfg Config) (*dbt.Snapshot, *dbt.Result, error) {
 	return d.Snapshot(), clean, nil
 }
 
-// Campaign injects cfg.Samples random single faults into executions of p
-// under the translator and classifies every outcome. It is Execute with a
-// background context — the pre-batch-API surface, kept for compatibility;
-// new code calls Execute.
-func Campaign(p *isa.Program, cfg Config) (*Report, error) {
-	return Execute(context.Background(), p, cfg)
-}
-
-// Run warms the translator and executes the campaign, honoring ctx for
-// cancellation. It is Execute with no options — a compatibility wrapper;
-// new code calls Execute.
-func (cfg Config) Run(ctx context.Context, p *isa.Program) (*Report, error) {
-	return Execute(ctx, p, cfg)
-}
-
-// RunWarm executes the campaign against a pre-built warm snapshot and,
-// optionally, a pre-recorded checkpoint log of its clean reference run.
-// It is Execute with WithSnapshot and WithRecording — a compatibility
-// wrapper; new code calls Execute.
-func (cfg Config) RunWarm(ctx context.Context, p *isa.Program, snap *dbt.Snapshot, cleanSteps uint64, log *ckpt.Log) (*Report, error) {
-	return Execute(ctx, p, cfg, WithSnapshot(snap, cleanSteps), WithRecording(log))
-}
-
 // techName renders the technique label used by metric series and spans.
 func techName(t dbt.Technique) string {
 	if t == nil {

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestCampaignBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Campaign(p, Config{Technique: tech, Samples: 300, Seed: 1, KeepRecords: true})
+	rep, err := Execute(context.Background(), p, Config{Technique: tech, Samples: 300, Seed: 1, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestCampaignBasics(t *testing.T) {
 func TestRCFNoSDC(t *testing.T) {
 	p := mustAssemble(t, workload)
 	tech, _ := check.New("RCF", dbt.UpdateCmov)
-	rep, err := Campaign(p, Config{Technique: tech, Policy: dbt.PolicyAllBB, Samples: 500, Seed: 7, KeepRecords: true})
+	rep, err := Execute(context.Background(), p, Config{Technique: tech, Policy: dbt.PolicyAllBB, Samples: 500, Seed: 7, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestCoverageOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Campaign(p, Config{Technique: tech, Samples: 400, Seed: 11})
+		rep, err := Execute(context.Background(), p, Config{Technique: tech, Samples: 400, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func TestDetectionLatencyByPolicy(t *testing.T) {
 	p := mustAssemble(t, workload)
 	lat := func(pol dbt.Policy) float64 {
 		tech, _ := check.New("EdgCF", dbt.UpdateCmov)
-		rep, err := Campaign(p, Config{Technique: tech, Policy: pol, Samples: 400, Seed: 3})
+		rep, err := Execute(context.Background(), p, Config{Technique: tech, Policy: pol, Samples: 400, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestDetectionLatencyByPolicy(t *testing.T) {
 func TestCategoryFClassification(t *testing.T) {
 	p := mustAssemble(t, workload)
 	tech, _ := check.New("EdgCF", dbt.UpdateCmov)
-	rep, err := Campaign(p, Config{Technique: tech, Samples: 600, Seed: 5, KeepRecords: true})
+	rep, err := Execute(context.Background(), p, Config{Technique: tech, Samples: 600, Seed: 5, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestCategoryFClassification(t *testing.T) {
 func TestNoErrorFaultsMostlyBenign(t *testing.T) {
 	p := mustAssemble(t, workload)
 	tech, _ := check.New("RCF", dbt.UpdateCmov)
-	rep, err := Campaign(p, Config{Technique: tech, Samples: 500, Seed: 9})
+	rep, err := Execute(context.Background(), p, Config{Technique: tech, Samples: 500, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +205,13 @@ func TestNoErrorFaultsMostlyBenign(t *testing.T) {
 
 func TestCampaignErrors(t *testing.T) {
 	spin := &isa.Program{Name: "spin", Code: []isa.Instr{{Op: isa.OpJmp, Imm: -1}}}
-	if _, err := Campaign(spin, Config{Samples: 1, MaxSteps: 100}); err == nil {
+	if _, err := Execute(context.Background(), spin, Config{Samples: 1, MaxSteps: 100}); err == nil {
 		t.Error("non-halting clean run must fail")
 	}
 	// A straight-line program executes no branches at all under the DBT
 	// (single block, no chained edges): nothing to fault.
 	nobranch := mustAssemble(t, "movi eax, 1\nout eax\nhalt\n")
-	if _, err := Campaign(nobranch, Config{Samples: 1}); err == nil {
+	if _, err := Execute(context.Background(), nobranch, Config{Samples: 1}); err == nil {
 		t.Error("program with no branches must fail")
 	}
 }
@@ -218,7 +219,7 @@ func TestCampaignErrors(t *testing.T) {
 func TestFormatReport(t *testing.T) {
 	p := mustAssemble(t, workload)
 	tech, _ := check.New("ECF", dbt.UpdateJcc)
-	rep, err := Campaign(p, Config{Technique: tech, Samples: 50, Seed: 2})
+	rep, err := Execute(context.Background(), p, Config{Technique: tech, Samples: 50, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package inject
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -17,7 +18,7 @@ func TestProgressSnapshotDeterminism(t *testing.T) {
 	p := mustAssemble(t, workload)
 	run := func(workers int, ckpt int64) obs.ProgressSnapshot {
 		pr := obs.NewProgress()
-		rep, err := Campaign(p, Config{
+		rep, err := Execute(context.Background(), p, Config{
 			Samples: 200, Seed: 42,
 			Options: Options{Workers: workers, CkptInterval: ckpt, Progress: pr},
 		})
@@ -95,7 +96,7 @@ func TestFlightRecorderCampaign(t *testing.T) {
 	for _, ckpt := range []int64{0, -1} {
 		var buf bytes.Buffer
 		fr := obs.NewFlightRecorder(&buf, 16)
-		rep, err := Campaign(p, Config{
+		rep, err := Execute(context.Background(), p, Config{
 			Samples: 200, Seed: 42,
 			Options: Options{Workers: 4, CkptInterval: ckpt, Flight: fr},
 		})
@@ -120,10 +121,10 @@ func TestFlightRecorderStatic(t *testing.T) {
 	p := mustAssemble(t, workload)
 	var buf bytes.Buffer
 	fr := obs.NewFlightRecorder(&buf, 16)
-	rep, err := StaticCampaign(p, "none", Config{
+	rep, err := Execute(context.Background(), p, Config{
 		Samples: 200, Seed: 42,
 		Options: Options{Workers: 4, Flight: fr},
-	})
+	}, AsStatic("none"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestObservabilityLeavesReportsIdentical(t *testing.T) {
 			cfg.Progress = obs.NewProgress()
 			cfg.Flight = obs.NewFlightRecorder(&bytes.Buffer{}, 8)
 		}
-		rep, err := Campaign(p, cfg)
+		rep, err := Execute(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

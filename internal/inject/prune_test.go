@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -61,14 +62,14 @@ func TestPruneEquivalenceAllTechniques(t *testing.T) {
 		cfg := base
 		cfg.Technique = tech
 		cfg.RegFaults = true
-		replay, err := Campaign(p, cfg)
+		replay, err := Execute(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatalf("%s replay: %v", name, err)
 		}
 		compare(t, name, replay, func(cfg2 Config) (*Report, error) {
 			cfg2.Technique = tech
 			cfg2.RegFaults = true
-			return Campaign(p, cfg2)
+			return Execute(context.Background(), p, cfg2)
 		})
 	}
 
@@ -81,12 +82,12 @@ func TestPruneEquivalenceAllTechniques(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := StaticCampaign(ip, name, base)
+		replay, err := Execute(context.Background(), ip, base, AsStatic(name))
 		if err != nil {
 			t.Fatalf("%s replay: %v", name, err)
 		}
 		compare(t, name, replay, func(cfg2 Config) (*Report, error) {
-			return StaticCampaign(ip, name, cfg2)
+			return Execute(context.Background(), ip, cfg2, AsStatic(name))
 		})
 	}
 

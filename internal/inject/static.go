@@ -147,28 +147,6 @@ func (im *StaticImage) liveness() *live.Info {
 	return im.li
 }
 
-// StaticCampaign injects single faults into a program executed directly on
-// the machine (no translator). It is Execute with AsStatic and a
-// background context — the pre-batch-API surface, kept for compatibility;
-// new code calls Execute.
-func StaticCampaign(p *isa.Program, label string, cfgn Config) (*Report, error) {
-	return Execute(context.Background(), p, cfgn, AsStatic(label))
-}
-
-// RunStatic injects single faults into a program executed directly on the
-// machine (no translator). It is Execute with AsStatic — a compatibility
-// wrapper; new code calls Execute.
-func (cfgn Config) RunStatic(ctx context.Context, p *isa.Program, label string) (*Report, error) {
-	return Execute(ctx, p, cfgn, AsStatic(label))
-}
-
-// RunStaticWarm is RunStatic with an optional pre-recorded checkpoint log.
-// It is Execute with AsStatic and WithRecording — a compatibility wrapper;
-// new code calls Execute.
-func (cfgn Config) RunStaticWarm(ctx context.Context, p *isa.Program, label string, log *ckpt.Log) (*Report, error) {
-	return Execute(ctx, p, cfgn, AsStatic(label), WithRecording(log))
-}
-
 // runStaticWarm injects single faults into a program executed directly on
 // the machine (no translator) — the statically instrumented CFCSS/ECCA
 // baselines and unprotected native runs. Faulty branch targets are

@@ -29,7 +29,7 @@ keep:
 
 func TestStaticCampaignBasics(t *testing.T) {
 	p := mustAssemble(t, staticProg)
-	rep, err := StaticCampaign(p, "native", Config{Samples: 200, Seed: 5, KeepRecords: true})
+	rep, err := Execute(context.Background(), p, Config{Samples: 200, Seed: 5, KeepRecords: true}, AsStatic("native"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,18 +58,18 @@ func TestStaticCampaignBasics(t *testing.T) {
 
 func TestStaticCampaignErrors(t *testing.T) {
 	spin := &isa.Program{Name: "spin", Code: []isa.Instr{{Op: isa.OpJmp, Imm: -1}}}
-	if _, err := StaticCampaign(spin, "x", Config{Samples: 1, MaxSteps: 100}); err == nil {
+	if _, err := Execute(context.Background(), spin, Config{Samples: 1, MaxSteps: 100}, AsStatic("x")); err == nil {
 		t.Error("non-halting program must fail")
 	}
 	nobranch := mustAssemble(t, "movi eax, 1\nout eax\nhalt\n")
-	if _, err := StaticCampaign(nobranch, "x", Config{Samples: 1}); err == nil {
+	if _, err := Execute(context.Background(), nobranch, Config{Samples: 1}, AsStatic("x")); err == nil {
 		t.Error("branch-free program must fail")
 	}
 }
 
 func TestStaticCampaignLatency(t *testing.T) {
 	p := mustAssemble(t, staticProg)
-	rep, err := StaticCampaign(p, "native", Config{Samples: 300, Seed: 9})
+	rep, err := Execute(context.Background(), p, Config{Samples: 300, Seed: 9}, AsStatic("native"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestIsResidualGap(t *testing.T) {
 
 func TestRegFaultCampaignViaConfig(t *testing.T) {
 	p := mustAssemble(t, staticProg)
-	rep, err := Campaign(p, Config{RegFaults: true, Samples: 150, Seed: 2, MaxSteps: 2_000_000})
+	rep, err := Execute(context.Background(), p, Config{RegFaults: true, Samples: 150, Seed: 2, MaxSteps: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

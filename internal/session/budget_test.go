@@ -81,8 +81,8 @@ func TestRunCellHitsKeyForCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Technique: k.Technique, Style: k.Style, Policy: k.Policy}
-	cfg.CkptInterval = k.CkptInterval
-	want, err := core.Inject(prog, cfg, spec.Samples, spec.Seed, 1)
+	cfg.CkptInterval, cfg.Workers = k.CkptInterval, 1
+	want, err := core.InjectCtx(context.Background(), prog, cfg, spec.Samples, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
